@@ -408,14 +408,14 @@ _TARGET_PARAMS: tuple[tuple[str, dict], ...] = (
 )
 
 
+def family_label(name: str, params: Params) -> str:
+    """The instance label name(k=v,...) with parameters in sorted order."""
+    if not params:
+        return name
+    inner = ",".join(f"{k}={v}" for k, v in sorted(params.items()))
+    return f"{name}({inner})"
+
+
 def verification_targets() -> list[tuple[str, LieAlgebra, PseudoMetric]]:
     """Labeled built-in instances the verify pipeline runs over."""
-    out = []
-    for name, params in _TARGET_PARAMS:
-        label = name
-        if params:
-            inner = ",".join(f"{k}={v}" for k, v in sorted(params.items()))
-            label = f"{name}({inner})"
-        g, m = instantiate(name, params)
-        out.append((label, g, m))
-    return out
+    return [(family_label(name, params), *instantiate(name, params)) for name, params in _TARGET_PARAMS]

@@ -21,25 +21,20 @@ import sys
 from typing import Any, Sequence
 
 from . import catalog, sampling
-from .conformal import (
-    VerdictStatus,
-    verify_bounds_nonunimodular,
-    verify_degenerate_restriction,
-    verify_lightlike,
-    verify_theorem_unimodular,
-)
+from .algebra import LieAlgebra
+from .conformal import VerdictStatus, conformal_space
 from .documents import Instance, instance_to_document, parse_instance_json
 from .errors import ConstraintViolated, DocumentError, LieconfError, UnknownFamily
 from .exact import frac
-from .report import _verdict_doc, build_report, render_table
-from .yamabe import verify_corollary_unimodular
+from .geometry import PseudoMetric
+from .report import VERIFIERS, build_report, render_table, verdict_docs
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CONSTRAINT = 2
 EXIT_VIOLATED = 3
 
-SCOPES = ("unimodular", "bounds", "lightlike", "degenerate", "corollary", "all")
+SCOPES = (*VERIFIERS, "all")
 
 
 def _parse_params(pairs: Sequence[str]) -> dict[str, str]:
@@ -54,25 +49,22 @@ def _parse_params(pairs: Sequence[str]) -> dict[str, str]:
     return params
 
 
-def _family_label(name: str, params: dict[str, str]) -> str:
-    if not params:
-        return name
-    inner = ",".join(f"{k}={v}" for k, v in sorted(params.items()))
-    return f"{name}({inner})"
+def _family_instance(name: str, params: dict[str, str]) -> tuple[str, LieAlgebra, PseudoMetric]:
+    """(label, algebra, metric) of a built-in family from parsed --param values."""
+    try:
+        coerced = {k: frac(v) for k, v in params.items()}
+    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        raise DocumentError("--param", f"invalid rational value ({exc})") from None
+    g, m = catalog.instantiate(name, coerced)
+    return catalog.family_label(name, params), g, m
 
 
-def _load_instance(args: argparse.Namespace) -> tuple[str | None, Any, Any]:
+def _load_instance(args: argparse.Namespace) -> tuple[str | None, LieAlgebra, PseudoMetric]:
     """Resolve --family/--input to (label, algebra, metric)."""
     if args.family and args.input:
         raise DocumentError("$", "give either --family or --input, not both")
     if args.family:
-        params = _parse_params(args.param)
-        try:
-            coerced = {k: frac(v) for k, v in params.items()}
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
-            raise DocumentError("--param", f"invalid rational value ({exc})") from None
-        g, m = catalog.instantiate(args.family, coerced)
-        return _family_label(args.family, params), g, m
+        return _family_instance(args.family, _parse_params(args.param))
     if args.input:
         if args.input == "-":
             text = sys.stdin.read()
@@ -102,21 +94,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_VERIFIERS = {
-    "unimodular": lambda g, m, seed, samples: verify_theorem_unimodular(g, m),
-    "bounds": lambda g, m, seed, samples: verify_bounds_nonunimodular(g, m),
-    "lightlike": lambda g, m, seed, samples: verify_lightlike(g, m, samples=samples, seed=seed),
-    "degenerate": lambda g, m, seed, samples: verify_degenerate_restriction(g, m),
-    "corollary": lambda g, m, seed, samples: verify_corollary_unimodular(g, m),
-}
-
-
-def _verify_targets(args: argparse.Namespace) -> list[tuple[str, Any, Any]]:
+def _verify_targets(args: argparse.Namespace) -> list[tuple[str, LieAlgebra, PseudoMetric]]:
     if args.family:
-        params = _parse_params(args.param)
-        coerced = {k: frac(v) for k, v in params.items()}
-        g, m = catalog.instantiate(args.family, coerced)
-        return [(_family_label(args.family, params), g, m)]
+        return [_family_instance(args.family, _parse_params(args.param))]
     rng = random.Random(args.seed)
     targets = list(catalog.verification_targets())
     targets.extend(sampling.random_instances(rng, args.samples))
@@ -136,16 +116,14 @@ def _verify_targets(args: argparse.Namespace) -> list[tuple[str, Any, Any]]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    scopes = list(_VERIFIERS) if args.scope == "all" else [args.scope]
+    scopes = list(VERIFIERS) if args.scope == "all" else [args.scope]
     targets = _verify_targets(args)
     results = []
     counts = {status.value: 0 for status in VerdictStatus}
     for label, g, m in targets:
-        verdicts = []
-        for scope in scopes:
-            verdict = _VERIFIERS[scope](g, m, args.seed, args.samples)
-            counts[verdict.status.value] += 1
-            verdicts.append(_verdict_doc(verdict))
+        verdicts = verdict_docs(g, m, conformal_space(g, m), scopes, args.seed, args.samples)
+        for v in verdicts:
+            counts[v["status"]] += 1
         results.append({"instance": label, "verdicts": verdicts})
     payload = {
         "scope": args.scope,
@@ -218,9 +196,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         return EXIT_OK
     # emit
     params = _parse_params(args.param)
-    coerced = {k: frac(v) for k, v in params.items()}
-    g, m = catalog.instantiate(args.name, coerced)
-    label = _family_label(args.name, params)
+    label, g, m = _family_instance(args.name, params)
     doc = instance_to_document(
         Instance(g, m, name=label, metadata={"family": args.name, "params": dict(sorted(params.items()))})
     )

@@ -36,7 +36,7 @@ from .exact import (
     kernel,
     vector,
 )
-from .geometry import PseudoMetric
+from .geometry import PseudoMetric, lowered_structure
 
 
 def lie_derivative_metric(
@@ -62,21 +62,15 @@ def conformal_system(g: LieAlgebra, m: PseudoMetric) -> Matrix:
     """The linear system whose kernel is the conformal solution space.
 
     Unknowns are (x_1, ..., x_n, rho); one row per unordered basis pair
-    (i, j) with i <= j encodes (L_X g)(e_i, e_j) - 2 rho g_ij = 0.
+    (i, j) with i <= j encodes (L_X g)(e_i, e_j) - 2 rho g_ij = 0, read
+    from the lowered structure constants.
     """
-    if g.dim != m.dim:
-        raise DimensionMismatch("algebra and metric dimensions differ")
+    low = lowered_structure(g, m)
     n = g.dim
-    basis = [basis_vector(n, i) for i in range(n)]
-    # column k < n: contribution of x_k, i.e. the bracket [e_k, .] terms
     rows = []
     for i in range(n):
         for j in range(i, n):
-            row = [
-                -m.inner(g.bracket_basis(k, i), basis[j])
-                - m.inner(basis[i], g.bracket_basis(k, j))
-                for k in range(n)
-            ]
+            row = [-low[k][i][j] - low[k][j][i] for k in range(n)]
             row.append(-2 * m.gram.at(i, j))
             rows.append(row)
     return Matrix.from_rows(rows)
@@ -172,24 +166,27 @@ class VerdictReport:
         return self.status is VerdictStatus.PASSED
 
 
-def verify_theorem_unimodular(g: LieAlgebra, m: PseudoMetric) -> VerdictReport:
+def verify_theorem_unimodular(
+    g: LieAlgebra, m: PseudoMetric, space: ConformalSolutionSpace
+) -> VerdictReport:
     """On a unimodular algebra every conformal solution must be Killing.
 
     Two independent routes are checked: the solved space must have a zero
     rho-projection, and every basis solution must satisfy the trace
     identity n * rho = -tr(ad_x) with a traceless adjoint. The same is
-    re-checked after an exact congruence change to an orthogonal basis.
+    re-checked on a space solved afresh after an exact congruence change
+    to an orthogonal basis.
     """
     check = "unimodular-conformal-is-killing"
     if not g.is_unimodular:
         return VerdictReport(check, VerdictStatus.HYPOTHESIS_NOT_MET, "algebra is not unimodular")
     routes = []
     diag, s = congruence_diagonalize(m.gram)
-    for tag, algebra, metric in (
-        ("given basis", g, m),
-        ("orthogonal basis", g.change_of_basis(s), m.transform(s)),
+    orthogonal = g.change_of_basis(s)
+    for tag, algebra, c in (
+        ("given basis", g, space),
+        ("orthogonal basis", orthogonal, conformal_space(orthogonal, m.transform(s))),
     ):
-        c = conformal_space(algebra, metric)
         if nonkilling_exists(c):
             witness = next(b for b in c.space.basis if b[algebra.dim] != 0)
             return VerdictReport(
@@ -211,14 +208,15 @@ def verify_theorem_unimodular(g: LieAlgebra, m: PseudoMetric) -> VerdictReport:
     return VerdictReport(check, VerdictStatus.PASSED, "; ".join(routes))
 
 
-def verify_bounds_nonunimodular(g: LieAlgebra, m: PseudoMetric) -> VerdictReport:
+def verify_bounds_nonunimodular(
+    g: LieAlgebra, m: PseudoMetric, space: ConformalSolutionSpace
+) -> VerdictReport:
     """A non-Killing solution bounds the center and the commutator ideal.
 
     dim center <= min(p, q) and dim [g, g] >= n - min(p, q).
     """
     check = "nonkilling-dimension-bounds"
-    c = conformal_space(g, m)
-    if not nonkilling_exists(c):
+    if not nonkilling_exists(space):
         return VerdictReport(
             check, VerdictStatus.HYPOTHESIS_NOT_MET, "no non-Killing conformal solution"
         )
@@ -248,7 +246,7 @@ def verify_bounds_nonunimodular(g: LieAlgebra, m: PseudoMetric) -> VerdictReport
 def verify_lightlike(
     g: LieAlgebra,
     m: PseudoMetric,
-    space: ConformalSolutionSpace | None = None,
+    space: ConformalSolutionSpace,
     samples: int = 50,
     seed: int = 0,
 ) -> VerdictReport:
@@ -259,20 +257,19 @@ def verify_lightlike(
     nonzero. Passes vacuously when no sampled combination has rho != 0.
     """
     check = "nonkilling-solutions-lightlike"
-    c = conformal_space(g, m) if space is None else space
-    if c.space.is_zero():
+    if space.space.is_zero():
         return VerdictReport(check, VerdictStatus.PASSED, "solution space is zero; vacuous")
     rng = random.Random(seed)
     checked = 0
     for _ in range(samples):
         coeffs = [
-            Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(c.space.dim)
+            Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(space.dim)
         ]
-        combined = [ZERO] * (c.algebra_dim + 1)
-        for w, b in zip(coeffs, c.space.basis):
-            for k in range(c.algebra_dim + 1):
+        combined = [ZERO] * (space.algebra_dim + 1)
+        for w, b in zip(coeffs, space.space.basis):
+            for k in range(space.algebra_dim + 1):
                 combined[k] += w * b[k]
-        x, rho = tuple(combined[: c.algebra_dim]), combined[c.algebra_dim]
+        x, rho = tuple(combined[: space.algebra_dim]), combined[space.algebra_dim]
         if rho == 0:
             continue
         checked += 1
@@ -291,13 +288,14 @@ def verify_lightlike(
     return VerdictReport(check, VerdictStatus.PASSED, detail)
 
 
-def verify_degenerate_restriction(g: LieAlgebra, m: PseudoMetric) -> VerdictReport:
+def verify_degenerate_restriction(
+    g: LieAlgebra, m: PseudoMetric, space: ConformalSolutionSpace
+) -> VerdictReport:
     """With a non-Killing solution present, g degenerates on [g, g]."""
     check = "metric-degenerate-on-commutator"
     if g.is_unimodular:
         return VerdictReport(check, VerdictStatus.HYPOTHESIS_NOT_MET, "algebra is unimodular")
-    c = conformal_space(g, m)
-    if not nonkilling_exists(c):
+    if not nonkilling_exists(space):
         return VerdictReport(
             check, VerdictStatus.HYPOTHESIS_NOT_MET, "no non-Killing conformal solution"
         )

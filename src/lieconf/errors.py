@@ -56,14 +56,6 @@ class ConstraintViolated(LieconfError):
         super().__init__(f"parameter {param!r}: {constraint}")
 
 
-class HypothesisNotMet(LieconfError):
-    """A verifier was invoked on an instance outside its hypothesis."""
-
-
-class TheoremViolated(LieconfError):
-    """A verified statement failed on a concrete instance."""
-
-
 class DocumentError(LieconfError):
     """An instance document failed to parse; carries the offending path."""
 

@@ -28,12 +28,12 @@ from .exact import (
     Subspace,
     Vector,
     ZERO,
-    basis_vector,
     det,
     inverse,
     kernel,
     signature,
     vector,
+    zero_vector,
 )
 
 #: The sign convention used throughout. The two standard conventions differ
@@ -167,47 +167,47 @@ class Connection:
 
     def nabla(self, i: int, v: Sequence[Fraction | int | str]) -> Vector:
         """nabla_{e_i} v for a constant-coefficient field v."""
-        coords = vector(v)
-        out = [ZERO] * self.dim
-        for j, c in enumerate(coords):
-            if c != 0:
-                for k in range(self.dim):
-                    out[k] += c * self.table[i][j][k]
-        return tuple(out)
+        return _combination(self.dim, vector(v), self.table[i])
 
-    def nabla_along(self, u: Sequence[Fraction | int | str], j: int) -> Vector:
-        """nabla_u e_j extended linearly in the direction u."""
-        coords = vector(u)
-        out = [ZERO] * self.dim
-        for i, c in enumerate(coords):
-            if c != 0:
-                for k in range(self.dim):
-                    out[k] += c * self.table[i][j][k]
-        return tuple(out)
+
+def _combination(n: int, coeffs: Sequence[Fraction], vectors: Sequence[Vector]) -> Vector:
+    """sum_t coeffs[t] vectors[t] in QQ^n, skipping zero coefficients."""
+    out = [ZERO] * n
+    for c, v in zip(coeffs, vectors):
+        if c != 0:
+            for k in range(n):
+                out[k] += c * v[k]
+    return tuple(out)
+
+
+def lowered_structure(g: LieAlgebra, m: PseudoMetric) -> tuple[tuple[Vector, ...], ...]:
+    """The lowered structure constants low[i][j][k] = <[e_i, e_j], e_k>.
+
+    One Gram product per unordered basis pair; antisymmetry gives the rest.
+    """
+    if g.dim != m.dim:
+        raise DimensionMismatch("algebra and metric dimensions differ")
+    n = g.dim
+    low = [[zero_vector(n)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            low[i][j] = m.gram.apply(g.bracket_basis(i, j))
+            low[j][i] = tuple(-c for c in low[i][j])
+    return tuple(tuple(row) for row in low)
 
 
 def levi_civita(g: LieAlgebra, m: PseudoMetric) -> Connection:
     """The unique torsion-free metric connection, from the Koszul formula."""
-    if g.dim != m.dim:
-        raise DimensionMismatch("algebra and metric dimensions differ")
+    low = lowered_structure(g, m)
     n = g.dim
     ginv = m.inverse_gram
     half = Fraction(1, 2)
-    basis = [basis_vector(n, i) for i in range(n)]
     table = []
     for i in range(n):
         row = []
         for j in range(n):
             # covector c_k = <nabla_{e_i} e_j, e_k>
-            covector = [
-                half
-                * (
-                    m.inner(g.bracket_basis(i, j), basis[k])
-                    - m.inner(g.bracket_basis(j, k), basis[i])
-                    + m.inner(g.bracket_basis(k, i), basis[j])
-                )
-                for k in range(n)
-            ]
+            covector = [half * (low[i][j][k] - low[j][k][i] + low[k][i][j]) for k in range(n)]
             row.append(ginv.apply(covector))
         table.append(tuple(row))
     return Connection(n, tuple(table))
@@ -228,6 +228,8 @@ def curvature(g: LieAlgebra, m: PseudoMetric, conn: Connection | None = None) ->
     if conn is None:
         conn = levi_civita(g, m)
     n = g.dim
+    # along[k][a] = nabla_{e_a} e_k, so nabla_u e_k is a combination of along[k]
+    along = [[conn.table[a][k] for a in range(n)] for k in range(n)]
     riemann = []
     for i in range(n):
         plane = []
@@ -239,7 +241,7 @@ def curvature(g: LieAlgebra, m: PseudoMetric, conn: Connection | None = None) ->
                     for a, b, c in zip(
                         conn.nabla(i, conn.nabla_basis(j, k)),
                         conn.nabla(j, conn.nabla_basis(i, k)),
-                        conn.nabla_along(g.bracket_basis(i, j), k),
+                        _combination(n, g.bracket_basis(i, j), along[k]),
                     )
                 )
                 line.append(value)

@@ -10,10 +10,11 @@ instance twice yields byte-identical output.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable, Iterable
 
 from .algebra import LieAlgebra
 from .conformal import (
+    ConformalSolutionSpace,
     VerdictReport,
     conformal_space,
     killing_space,
@@ -40,6 +41,28 @@ def _verdict_doc(v: VerdictReport) -> dict[str, Any]:
     return doc
 
 
+#: Verify scopes in report order, each running its verifier on the solved space.
+VERIFIERS: dict[str, Callable[..., VerdictReport]] = {
+    "unimodular": lambda g, m, space, seed, samples: verify_theorem_unimodular(g, m, space),
+    "bounds": lambda g, m, space, seed, samples: verify_bounds_nonunimodular(g, m, space),
+    "lightlike": lambda g, m, space, seed, samples: verify_lightlike(g, m, space, samples=samples, seed=seed),
+    "degenerate": lambda g, m, space, seed, samples: verify_degenerate_restriction(g, m, space),
+    "corollary": lambda g, m, space, seed, samples: verify_corollary_unimodular(g, m, space),
+}
+
+
+def verdict_docs(
+    g: LieAlgebra,
+    m: PseudoMetric,
+    space: ConformalSolutionSpace,
+    scopes: Iterable[str],
+    seed: int,
+    samples: int,
+) -> list[dict[str, Any]]:
+    """The verdicts of the given scopes' verifiers as JSON-ready dicts."""
+    return [_verdict_doc(VERIFIERS[scope](g, m, space, seed, samples)) for scope in scopes]
+
+
 def build_report(
     g: LieAlgebra,
     m: PseudoMetric,
@@ -54,13 +77,7 @@ def build_report(
     solitons = [
         soliton_from_conformal(g, m, x, rho) for x, rho in space.solutions()
     ]
-    verdicts = [
-        verify_theorem_unimodular(g, m),
-        verify_bounds_nonunimodular(g, m),
-        verify_lightlike(g, m, samples=samples, seed=seed),
-        verify_degenerate_restriction(g, m),
-        verify_corollary_unimodular(g, m),
-    ]
+    verdicts = verdict_docs(g, m, space, VERIFIERS, seed, samples)
     report: dict[str, Any] = {
         "name": name,
         "dim": g.dim,
@@ -89,7 +106,7 @@ def build_report(
             }
             for s in solitons
         ],
-        "verdicts": [_verdict_doc(v) for v in verdicts],
+        "verdicts": verdicts,
     }
     return report
 

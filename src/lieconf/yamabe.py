@@ -19,13 +19,14 @@ from typing import Sequence
 
 from .algebra import LieAlgebra
 from .conformal import (
+    ConformalSolutionSpace,
     VerdictReport,
     VerdictStatus,
     is_conformal_solution,
     lie_derivative_metric,
 )
-from .errors import DimensionMismatch, NotAConformalSolution
-from .exact import Matrix, Subspace, Vector, basis_vector, frac, kernel, vector
+from .errors import NotAConformalSolution
+from .exact import Vector, frac, vector
 from .geometry import PseudoMetric, curvature
 
 
@@ -100,43 +101,19 @@ def soliton_from_conformal(
     )
 
 
-def soliton_system(g: LieAlgebra, m: PseudoMetric) -> Matrix:
-    """The soliton equation as a linear system in (x, mu), mu = lambda - R.
-
-    Writing lambda = R - rho turns the soliton equation into
-    (L_x g)(e_i, e_j) + 2 mu g_ij = 0 with mu = -rho. This assembles that
-    system directly from Lie derivatives of the basis, giving a route to
-    the soliton space that does not share rows with the conformal solver.
-    """
-    if g.dim != m.dim:
-        raise DimensionMismatch("algebra and metric dimensions differ")
-    n = g.dim
-    derivatives = [lie_derivative_metric(g, m, basis_vector(n, k)) for k in range(n)]
-    rows = []
-    for i in range(n):
-        for j in range(i, n):
-            row = [derivatives[k].at(i, j) for k in range(n)]
-            row.append(2 * m.gram.at(i, j))
-            rows.append(row)
-    return Matrix.from_rows(rows)
-
-
-def soliton_solution_space(g: LieAlgebra, m: PseudoMetric) -> Subspace:
-    """All (x, mu) soliton pairs, mu = lambda - R, as a canonical subspace."""
-    return kernel(soliton_system(g, m))
-
-
-def verify_corollary_unimodular(g: LieAlgebra, m: PseudoMetric) -> VerdictReport:
+def verify_corollary_unimodular(
+    g: LieAlgebra, m: PseudoMetric, space: ConformalSolutionSpace
+) -> VerdictReport:
     """On a unimodular algebra every soliton must be trivial (lambda = R).
 
-    Solves the soliton system independently of the conformal route and
-    requires its mu-projection to vanish.
+    Every conformal solution (x, rho) carries the soliton (x, mu) with
+    mu = lambda - R = -rho, so the soliton space is the conformal space
+    with its last coordinate negated; its mu-projection must vanish.
     """
     check = "unimodular-solitons-trivial"
     if not g.is_unimodular:
         return VerdictReport(check, VerdictStatus.HYPOTHESIS_NOT_MET, "algebra is not unimodular")
-    space = soliton_solution_space(g, m)
-    offenders = [b for b in space.basis if b[g.dim] != 0]
+    offenders = [x + (-rho,) for x, rho in space.solutions() if rho != 0]
     if offenders:
         return VerdictReport(
             check,

@@ -8,8 +8,9 @@ from fractions import Fraction
 import sympy
 from hypothesis import strategies as st
 
-from lieconf import Matrix
+from lieconf import Matrix, Subspace, kernel, lie_derivative_metric
 from lieconf.algebra import LieAlgebra
+from lieconf.exact import basis_vector
 from lieconf.geometry import PseudoMetric
 from lieconf import sampling
 
@@ -132,6 +133,30 @@ def sympy_conformal_basis(g: LieAlgebra, m: PseudoMetric) -> list[tuple[Fraction
         tuple(Fraction(int(c.p), int(c.q)) for c in column)
         for column in system.nullspace()
     ]
+
+
+def soliton_system(g: LieAlgebra, m: PseudoMetric) -> Matrix:
+    """The soliton equation as a linear system in (x, mu), mu = lambda - R.
+
+    Writing lambda = R - rho turns the soliton equation into
+    (L_x g)(e_i, e_j) + 2 mu g_ij = 0 with mu = -rho. The rows come from
+    Lie derivatives of the basis (bracket, then inner product), so they
+    never read the lowered structure tensor the conformal solver uses.
+    """
+    n = g.dim
+    derivatives = [lie_derivative_metric(g, m, basis_vector(n, k)) for k in range(n)]
+    rows = []
+    for i in range(n):
+        for j in range(i, n):
+            row = [derivatives[k].at(i, j) for k in range(n)]
+            row.append(2 * m.gram.at(i, j))
+            rows.append(row)
+    return Matrix.from_rows(rows)
+
+
+def soliton_solution_space(g: LieAlgebra, m: PseudoMetric) -> Subspace:
+    """All (x, mu) soliton pairs, mu = lambda - R, as a canonical subspace."""
+    return kernel(soliton_system(g, m))
 
 
 # -- acceptance reporting --------------------------------------------------------

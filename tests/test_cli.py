@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from lieconf import build_report, conformal, instantiate
 from lieconf.cli import main
 
 
@@ -122,9 +123,17 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--family", "nope")
         assert code == 2
 
-    def test_bad_param_value(self, capsys):
-        code, _, err = run(capsys, "analyze", "--family", "damekricci4", "--param", "alpha=x")
+    @pytest.mark.parametrize("value", ["x", "1/0"])
+    @pytest.mark.parametrize(
+        "command",
+        [("analyze", "--family"), ("verify", "--family"), ("catalog", "emit")],
+        ids=["analyze", "verify", "emit"],
+    )
+    def test_bad_param_value(self, capsys, command, value):
+        code, out, err = run(capsys, *command, "damekricci4", "--param", f"alpha={value}")
         assert code == 1
+        assert out == ""
+        assert err.startswith("error: --param: invalid rational value")
 
     def test_duplicate_param(self, capsys):
         code, _, err = run(capsys, "analyze", "--family", "damekricci4", "--param", "alpha=1", "--param", "alpha=2")
@@ -175,6 +184,27 @@ class TestVerify:
     def test_constraint_violation_exit(self, capsys):
         code, _, err = run(capsys, "verify", "--family", "nonuni3", "--param", "alpha=0")
         assert code == 2
+
+
+class TestSolvesOnce:
+    # The shared conformal space is solved once per instance; only the
+    # unimodular theorem solves again, in its orthogonal basis.
+    @pytest.mark.parametrize("family, systems", [("affine2", 1), ("heisenberg3", 2)])
+    def test_conformal_system_built_once_per_instance(self, capsys, monkeypatch, family, systems):
+        calls = []
+        solve = conformal.conformal_system
+
+        def counted(g, m):
+            calls.append(g.dim)
+            return solve(g, m)
+
+        monkeypatch.setattr(conformal, "conformal_system", counted)
+        build_report(*instantiate(family))
+        assert len(calls) == systems
+        calls.clear()
+        code, _, _ = run(capsys, "verify", "--family", family)
+        assert code == 0
+        assert len(calls) == systems
 
 
 class TestCatalog:

@@ -178,24 +178,24 @@ class TestVerifiers:
             ("abelian", {"n": 4, "p": 2}),
         ):
             g, m = instantiate(name, params)
-            report = verify_theorem_unimodular(g, m)
+            report = verify_theorem_unimodular(g, m, conformal_space(g, m))
             assert report.status is VerdictStatus.PASSED
             assert report.passed
 
     def test_unimodular_theorem_skips_nonunimodular(self):
         g, m = instantiate("affine2")
-        report = verify_theorem_unimodular(g, m)
+        report = verify_theorem_unimodular(g, m, conformal_space(g, m))
         assert report.status is VerdictStatus.HYPOTHESIS_NOT_MET
         assert not report.passed
 
     def test_bounds_on_affine_plane(self):
         g, m = instantiate("affine2")
-        report = verify_bounds_nonunimodular(g, m)
+        report = verify_bounds_nonunimodular(g, m, conformal_space(g, m))
         assert report.status is VerdictStatus.PASSED
 
     def test_bounds_skip_unimodular(self):
         g, m = instantiate("heisenberg3")
-        report = verify_bounds_nonunimodular(g, m)
+        report = verify_bounds_nonunimodular(g, m, conformal_space(g, m))
         assert report.status is VerdictStatus.HYPOTHESIS_NOT_MET
 
     def test_lightlike_on_families_with_nonkilling_solutions(self):
@@ -205,28 +205,29 @@ class TestVerifiers:
             ("damekricci4", {"alpha": 2}),
         ):
             g, m = instantiate(name, params)
-            report = verify_lightlike(g, m, samples=25, seed=7)
+            report = verify_lightlike(g, m, conformal_space(g, m), samples=25, seed=7)
             assert report.status is VerdictStatus.PASSED, (name, report.detail)
 
     def test_degenerate_restriction_on_affine_plane(self):
         g, m = instantiate("affine2")
-        report = verify_degenerate_restriction(g, m)
+        report = verify_degenerate_restriction(g, m, conformal_space(g, m))
         assert report.status is VerdictStatus.PASSED
 
     def test_degenerate_restriction_skips_unimodular(self):
         g, m = instantiate("sl2")
-        report = verify_degenerate_restriction(g, m)
+        report = verify_degenerate_restriction(g, m, conformal_space(g, m))
         assert report.status is VerdictStatus.HYPOTHESIS_NOT_MET
 
     def test_reports_carry_check_names(self):
         g, m = instantiate("affine2")
+        c = conformal_space(g, m)
         assert (
-            verify_theorem_unimodular(g, m).check == "unimodular-conformal-is-killing"
+            verify_theorem_unimodular(g, m, c).check == "unimodular-conformal-is-killing"
         )
-        assert verify_bounds_nonunimodular(g, m).check == "nonkilling-dimension-bounds"
-        assert verify_lightlike(g, m).check == "nonkilling-solutions-lightlike"
+        assert verify_bounds_nonunimodular(g, m, c).check == "nonkilling-dimension-bounds"
+        assert verify_lightlike(g, m, c).check == "nonkilling-solutions-lightlike"
         assert (
-            verify_degenerate_restriction(g, m).check
+            verify_degenerate_restriction(g, m, c).check
             == "metric-degenerate-on-commutator"
         )
 
@@ -234,10 +235,11 @@ class TestVerifiers:
     @settings(max_examples=30, deadline=None)
     def test_no_verifier_reports_violations_on_valid_instances(self, pair):
         g, m = pair
+        c = conformal_space(g, m)
         for verifier in (
             verify_theorem_unimodular,
             verify_bounds_nonunimodular,
             verify_degenerate_restriction,
         ):
-            assert verifier(g, m).status is not VerdictStatus.VIOLATED
-        assert verify_lightlike(g, m, samples=10).status is not VerdictStatus.VIOLATED
+            assert verifier(g, m, c).status is not VerdictStatus.VIOLATED
+        assert verify_lightlike(g, m, c, samples=10).status is not VerdictStatus.VIOLATED

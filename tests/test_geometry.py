@@ -19,7 +19,9 @@ from lieconf import (
     instantiate,
     inverse,
     levi_civita,
+    lowered_structure,
 )
+from lieconf.exact import basis_vector
 
 SPLIT3 = PseudoMetric.from_rows([[1, 0, 0], [0, 0, -1], [0, -1, 0]])
 
@@ -108,6 +110,19 @@ class TestRestriction:
         joined = Subspace.span(g.dim, list(s.basis) + list(comp.basis))
         radical_dim = s.dim + comp.dim - joined.dim
         assert m.restriction_degenerate(s) == (radical_dim > 0)
+
+
+class TestLoweredStructure:
+    @given(algebra_metric_pairs())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_inner_products_of_brackets(self, pair):
+        g, m = pair
+        n = g.dim
+        low = lowered_structure(g, m)
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    assert low[i][j][k] == m.inner(g.bracket_basis(i, j), basis_vector(n, k))
 
 
 class TestLeviCivita:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from helpers import algebra_metric_pairs
+from helpers import algebra_metric_pairs, soliton_solution_space
 from lieconf import (
     NotAConformalSolution,
     PseudoMetric,
@@ -20,7 +20,6 @@ from lieconf import (
     curvature,
     instantiate,
     soliton_from_conformal,
-    soliton_solution_space,
     verify_corollary_unimodular,
 )
 
@@ -120,17 +119,17 @@ class TestCorollaryVerifier:
             ),
         ]
         for g, m in cases:
-            report = verify_corollary_unimodular(g, m)
+            report = verify_corollary_unimodular(g, m, conformal_space(g, m))
             assert report.status is VerdictStatus.PASSED
             assert report.check == "unimodular-solitons-trivial"
 
     def test_hypothesis_not_met_for_nonunimodular(self):
         g, m = instantiate("affine2")
-        report = verify_corollary_unimodular(g, m)
+        report = verify_corollary_unimodular(g, m, conformal_space(g, m))
         assert report.status is VerdictStatus.HYPOTHESIS_NOT_MET
 
     @given(algebra_metric_pairs())
     @settings(max_examples=30, deadline=None)
     def test_never_violated_on_valid_instances(self, pair):
         g, m = pair
-        assert verify_corollary_unimodular(g, m).status is not VerdictStatus.VIOLATED
+        assert verify_corollary_unimodular(g, m, conformal_space(g, m)).status is not VerdictStatus.VIOLATED
