@@ -174,6 +174,10 @@ def _build_damekricci4(params: dict[str, Fraction]) -> tuple[LieAlgebra, PseudoM
 
 
 def _eigenvalues(params: dict[str, Fraction], n: int) -> list[Fraction]:
+    known = {f"lambda{i}" for i in range(1, n)}
+    for key in params:
+        if key.startswith("lambda") and key not in known:
+            raise ConstraintViolated(key, f"eigenvalue parameters are lambda1..lambda{n - 1}")
     lams = []
     for i in range(1, n):
         key = f"lambda{i}"

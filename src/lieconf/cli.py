@@ -89,7 +89,7 @@ def _emit(args: argparse.Namespace, payload: dict | list, table: str | None = No
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     label, g, m = _load_instance(args)
-    report = build_report(g, m, name=label, seed=args.seed, samples=args.samples)
+    report = build_report(g, m, name=label)
     _emit(args, report, render_table(report))
     return EXIT_OK
 
@@ -116,12 +116,14 @@ def _verify_targets(args: argparse.Namespace) -> list[tuple[str, LieAlgebra, Pse
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.samples < 0:
+        raise DocumentError("--samples", f"must be a non-negative integer, got {args.samples}")
     scopes = list(VERIFIERS) if args.scope == "all" else [args.scope]
     targets = _verify_targets(args)
     results = []
     counts = {status.value: 0 for status in VerdictStatus}
     for label, g, m in targets:
-        verdicts = verdict_docs(g, m, conformal_space(g, m), scopes, args.seed, args.samples)
+        verdicts = verdict_docs(g, m, conformal_space(g, m), scopes)
         for v in verdicts:
             counts[v["status"]] += 1
         results.append({"instance": label, "verdicts": verdicts})
@@ -215,16 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, samples_default: int) -> None:
-        p.add_argument("--seed", type=int, default=0, help="seed for all randomized checks")
-        p.add_argument(
-            "--samples",
-            type=int,
-            default=samples_default,
-            help="sampling effort (random draws / random instances)",
-        )
-        p.add_argument("--format", choices=("json", "table"), default="json")
-
     analyze = sub.add_parser("analyze", help="full exact report for one instance")
     analyze.add_argument("--family", help="built-in family name")
     analyze.add_argument(
@@ -235,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="family parameter, rational values like 3, -1/2 (repeatable)",
     )
     analyze.add_argument("--input", help="instance document path, or - for stdin")
-    add_common(analyze, samples_default=50)
+    analyze.add_argument("--format", choices=("json", "table"), default="json")
     analyze.set_defaults(func=cmd_analyze)
 
     verify = sub.add_parser("verify", help="run structural verifiers and summarize")
@@ -244,7 +236,14 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--param", action="append", default=[], metavar="KEY=VALUE", help="family parameter"
     )
-    add_common(verify, samples_default=10)
+    verify.add_argument("--seed", type=int, default=0, help="seed that selects the random instances and metrics")
+    verify.add_argument(
+        "--samples",
+        type=int,
+        default=10,
+        help="number of random instances to add, and of random metrics per signature (samples // 5, at least 1)",
+    )
+    verify.add_argument("--format", choices=("json", "table"), default="json")
     verify.set_defaults(func=cmd_verify)
 
     cat = sub.add_parser("catalog", help="list built-in families or emit one")

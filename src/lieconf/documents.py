@@ -107,10 +107,9 @@ def parse_instance(doc: Mapping[str, Any]) -> Instance:
         coords = [Fraction(0)] * dim
         for raw_key, raw_value in coeffs.items():
             key_path = f"{path}.coeffs.{raw_key}"
-            try:
-                k = int(raw_key)
-            except (TypeError, ValueError):
-                raise DocumentError(key_path, f"coefficient index must be an integer, got {raw_key!r}") from None
+            if not (isinstance(raw_key, str) and raw_key.isascii() and raw_key.isdigit()):
+                raise DocumentError(key_path, f"coefficient index must be an integer, got {raw_key!r}")
+            k = int(raw_key)
             if not 1 <= k <= dim:
                 raise DocumentError(key_path, f"coefficient index out of range 1..{dim}")
             coords[k - 1] = parse_fraction(raw_value, key_path)

@@ -42,42 +42,33 @@ def _verdict_doc(v: VerdictReport) -> dict[str, Any]:
 
 
 #: Verify scopes in report order, each running its verifier on the solved space.
-VERIFIERS: dict[str, Callable[..., VerdictReport]] = {
-    "unimodular": lambda g, m, space, seed, samples: verify_theorem_unimodular(g, m, space),
-    "bounds": lambda g, m, space, seed, samples: verify_bounds_nonunimodular(g, m, space),
-    "lightlike": lambda g, m, space, seed, samples: verify_lightlike(g, m, space, samples=samples, seed=seed),
-    "degenerate": lambda g, m, space, seed, samples: verify_degenerate_restriction(g, m, space),
-    "corollary": lambda g, m, space, seed, samples: verify_corollary_unimodular(g, m, space),
+#: The lambdas look each verifier up by module global at call time, so a
+#: verifier replaced on this module (for tracing, say) is the one that runs.
+VERIFIERS: dict[str, Callable[[LieAlgebra, PseudoMetric, ConformalSolutionSpace], VerdictReport]] = {
+    "unimodular": lambda g, m, space: verify_theorem_unimodular(g, m, space),
+    "bounds": lambda g, m, space: verify_bounds_nonunimodular(g, m, space),
+    "lightlike": lambda g, m, space: verify_lightlike(g, m, space),
+    "degenerate": lambda g, m, space: verify_degenerate_restriction(g, m, space),
+    "corollary": lambda g, m, space: verify_corollary_unimodular(g, m, space),
 }
 
 
 def verdict_docs(
-    g: LieAlgebra,
-    m: PseudoMetric,
-    space: ConformalSolutionSpace,
-    scopes: Iterable[str],
-    seed: int,
-    samples: int,
+    g: LieAlgebra, m: PseudoMetric, space: ConformalSolutionSpace, scopes: Iterable[str]
 ) -> list[dict[str, Any]]:
     """The verdicts of the given scopes' verifiers as JSON-ready dicts."""
-    return [_verdict_doc(VERIFIERS[scope](g, m, space, seed, samples)) for scope in scopes]
+    return [_verdict_doc(VERIFIERS[scope](g, m, space)) for scope in scopes]
 
 
-def build_report(
-    g: LieAlgebra,
-    m: PseudoMetric,
-    name: str | None = None,
-    seed: int = 0,
-    samples: int = 50,
-) -> dict[str, Any]:
+def build_report(g: LieAlgebra, m: PseudoMetric, name: str | None = None) -> dict[str, Any]:
     """Assemble the full analysis of one instance as a JSON-ready dict."""
     p, q = m.signature
     curv = curvature(g, m)
     space = conformal_space(g, m)
     solitons = [
-        soliton_from_conformal(g, m, x, rho) for x, rho in space.solutions()
+        soliton_from_conformal(g, m, x, rho, curv.scalar) for x, rho in space.solutions()
     ]
-    verdicts = verdict_docs(g, m, space, VERIFIERS, seed, samples)
+    verdicts = verdict_docs(g, m, space, VERIFIERS)
     report: dict[str, Any] = {
         "name": name,
         "dim": g.dim,

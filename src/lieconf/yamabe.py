@@ -77,8 +77,10 @@ def soliton_from_conformal(
     m: PseudoMetric,
     x: Sequence[Fraction | int | str],
     rho: Fraction | int | str,
+    scalar: Fraction,
 ) -> SolitonReport:
-    """The unique soliton carried by a conformal solution (x, rho).
+    """The unique soliton carried by a conformal solution (x, rho), given
+    the metric's scalar curvature (`curvature(g, m).scalar`).
 
     Raises NotAConformalSolution when the pair fails the conformal
     equation, so reports are only ever built on verified solutions.
@@ -89,7 +91,6 @@ def soliton_from_conformal(
         raise NotAConformalSolution(
             f"L_x g != 2 rho g for x = {xv} with rho = {rho}"
         )
-    scalar = curvature(g, m).scalar
     lam = scalar - rho
     return SolitonReport(
         field=xv,

@@ -104,6 +104,16 @@ class TestConstraints:
         with pytest.raises(ConstraintViolated):
             instantiate("diagonalN", {"n": 3, "lambda1": 1})
 
+    @pytest.mark.parametrize("family, params", [
+        ("diagonalN", {"n": 3, "lambda1": 1, "lambda2": 2}),
+        ("gradedN", {"n": 4, "lambda1": 1, "lambda2": 2, "lambda3": 3}),
+    ], ids=["diagonalN", "gradedN"])
+    @pytest.mark.parametrize("key", ["lambda9", "lambdaX"])
+    def test_unknown_eigenvalue_parameter_rejected(self, family, params, key):
+        with pytest.raises(ConstraintViolated) as exc:
+            instantiate(family, {**params, key: 5})
+        assert key in str(exc.value)
+
     def test_gradedn_beta_compatibility(self):
         with pytest.raises(ConstraintViolated):
             instantiate(

@@ -7,7 +7,8 @@ import json
 
 import pytest
 
-from lieconf import build_report, conformal, instantiate
+from lieconf import build_report, conformal, geometry, instantiate, verification_targets, yamabe
+from lieconf import report as report_module
 from lieconf.cli import main
 
 
@@ -49,8 +50,8 @@ class TestAnalyze:
         assert report["conformal"]["basis"] == [["1", "-1/2", "-1", "-1"]]
 
     def test_deterministic_output(self, capsys):
-        first = run(capsys, "analyze", "--family", "damekricci4", "--seed", "5")
-        second = run(capsys, "analyze", "--family", "damekricci4", "--seed", "5")
+        first = run(capsys, "analyze", "--family", "damekricci4")
+        second = run(capsys, "analyze", "--family", "damekricci4")
         assert first == second
 
     def test_table_format(self, capsys):
@@ -99,6 +100,15 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--input", str(path))
         assert code == 1
         assert "metric" in err
+
+    def test_non_ascii_coefficient_index(self, capsys, tmp_path):
+        doc = {"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"\uff13": 1}}], "metric": [[1, 0, 0], [0, 1, 0], [0, 0, -1]]}
+        path = tmp_path / "fullwidth.json"
+        path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        code, out, err = run(capsys, "analyze", "--input", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: brackets[0].coeffs.")
 
     def test_unreadable_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "analyze", "--input", str(tmp_path / "absent.json"))
@@ -169,6 +179,17 @@ class TestVerify:
         assert payload["counts"]["pass"] > 0
         assert payload["instances"] == len(payload["results"])
 
+    def test_negative_samples_rejected(self, capsys):
+        code, out, err = run(capsys, "verify", "--samples", "-5")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --samples: ")
+
+    def test_zero_samples_accepted(self, capsys):
+        code, out, _ = run(capsys, "verify", "--samples", "0")
+        assert code == 0
+        assert json.loads(out)["instances"] == len(verification_targets()) + 4 * 4
+
     def test_table_totals_line(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--scope", "corollary", "--family", "heisenberg3", "--format", "table"
@@ -205,6 +226,23 @@ class TestSolvesOnce:
         code, _, _ = run(capsys, "verify", "--family", family)
         assert code == 0
         assert len(calls) == systems
+
+
+class TestCurvatureOnce:
+    # A report reads the one scalar curvature it computes for its solitons.
+    def test_build_report_computes_curvature_once(self, monkeypatch):
+        calls = []
+        compute = geometry.curvature
+
+        def counted(g, m, conn=None):
+            calls.append(g.dim)
+            return compute(g, m, conn)
+
+        for module in (geometry, report_module, yamabe):
+            monkeypatch.setattr(module, "curvature", counted)
+        report = build_report(*instantiate("affine2"))
+        assert report["solitons"]
+        assert len(calls) == 1
 
 
 class TestCatalog:

@@ -4,11 +4,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import algebra_metric_pairs, sympy_conformal_basis, vectors
 from lieconf import (
+    ConformalSolutionSpace,
+    LieAlgebra,
     Matrix,
+    PseudoMetric,
     Subspace,
     VerdictStatus,
     conformal_space,
@@ -205,8 +210,50 @@ class TestVerifiers:
             ("damekricci4", {"alpha": 2}),
         ):
             g, m = instantiate(name, params)
-            report = verify_lightlike(g, m, conformal_space(g, m), samples=25, seed=7)
+            report = verify_lightlike(g, m, conformal_space(g, m))
             assert report.status is VerdictStatus.PASSED, (name, report.detail)
+
+    @pytest.mark.parametrize(
+        "diagonal, basis, status",
+        [
+            # (0, 1, 1; 1) is the only non-Killing basis vector and is null,
+            # but the non-Killing solution (1, 1, 1; 1) is not
+            ([1, 1, -1], [(1, 0, 0, 0), (0, 1, 1, 1)], VerdictStatus.VIOLATED),
+            ([1, 1, -1], [], VerdictStatus.PASSED),
+            ([1, 1, -1], [(1, 0, 0, 0)], VerdictStatus.PASSED),
+            ([1, 1, -1], [(1, 0, 1, 1), (1, 0, 1, 0)], VerdictStatus.PASSED),
+            ([1, 1, -1], [(1, 0, 1, 1), (0, 1, 0, 0)], VerdictStatus.VIOLATED),
+            # only off-diagonal entries of P G P^T are nonzero
+            ([1, 1, -1], [(1, 0, 1, 1), (0, 1, 1, -1)], VerdictStatus.VIOLATED),
+            # (1, 1; 1) is null, so the witness search must go on to t = 2
+            ([1, -1], [(1, 0, 0), (0, 1, 1)], VerdictStatus.VIOLATED),
+        ],
+    )
+    def test_lightlike_exact_verdicts(self, diagonal, basis, status):
+        n, m = len(diagonal), PseudoMetric.diagonal(diagonal)
+        space = ConformalSolutionSpace(n, Subspace.span(n + 1, basis))
+        report = verify_lightlike(LieAlgebra(n, {}), m, space)
+        assert report.status is status
+        if status is VerdictStatus.VIOLATED:
+            x, rho = report.counterexample[:n], report.counterexample[n]
+            assert space.space.contains(report.counterexample)
+            assert rho != 0 and m.inner(x, x) != 0
+        else:
+            assert report.counterexample is None
+
+    @given(st.lists(vectors(4), min_size=1, max_size=3), vectors(3))
+    @settings(max_examples=60, deadline=None)
+    def test_lightlike_agrees_with_sampled_combinations(self, rows, weights):
+        m = PseudoMetric.diagonal([1, 1, -1])
+        space = ConformalSolutionSpace(3, Subspace.span(4, rows))
+        report = verify_lightlike(LieAlgebra(3, {}), m, space)
+        if report.status is VerdictStatus.VIOLATED:
+            x, rho = report.counterexample[:3], report.counterexample[3]
+            assert space.space.contains(report.counterexample)
+            assert rho != 0 and m.inner(x, x) != 0
+        else:
+            v = [sum((w * b[k] for w, b in zip(weights, space.space.basis)), Fraction(0)) for k in range(4)]
+            assert v[3] == 0 or m.inner(v[:3], v[:3]) == 0
 
     def test_degenerate_restriction_on_affine_plane(self):
         g, m = instantiate("affine2")
@@ -242,4 +289,4 @@ class TestVerifiers:
             verify_degenerate_restriction,
         ):
             assert verifier(g, m, c).status is not VerdictStatus.VIOLATED
-        assert verify_lightlike(g, m, c, samples=10).status is not VerdictStatus.VIOLATED
+        assert verify_lightlike(g, m, c).status is not VerdictStatus.VIOLATED

@@ -107,6 +107,14 @@ class TestParseInstance:
             parse_instance(doc)
         assert exc.value.path == "brackets[0].coeffs.4"
 
+    @pytest.mark.parametrize("key", ["\uff11", "x", "+1", " 1", "1.0", ""])
+    def test_coefficient_key_must_be_ascii_digits(self, key):
+        doc = heisenberg_doc()
+        doc["brackets"] = [{"i": 1, "j": 2, "coeffs": {key: 1}}]
+        with pytest.raises(DocumentError) as exc:
+            parse_instance(doc)
+        assert exc.value.path == f"brackets[0].coeffs.{key}"
+
     def test_coefficient_value_located(self):
         doc = heisenberg_doc()
         doc["brackets"] = [{"i": 1, "j": 2, "coeffs": {"3": "x"}}]

@@ -53,7 +53,7 @@ class TestCheckSoliton:
 class TestSolitonFromConformal:
     def test_affine_plane_shrinker(self):
         g, m = instantiate("affine2")
-        report = soliton_from_conformal(g, m, (1, 0), Fraction(-1, 2))
+        report = soliton_from_conformal(g, m, (1, 0), Fraction(-1, 2), curvature(g, m).scalar)
         assert report.constant == Fraction(1, 2)
         assert report.scalar == 0
         assert report.kind is SolitonClass.SHRINKING
@@ -62,7 +62,7 @@ class TestSolitonFromConformal:
 
     def test_killing_field_gives_trivial_soliton(self):
         g, m = instantiate("heisenberg3")
-        report = soliton_from_conformal(g, m, (0, 0, 1), 0)
+        report = soliton_from_conformal(g, m, (0, 0, 1), 0, curvature(g, m).scalar)
         assert report.trivial
         assert report.constant == report.scalar == Fraction(1, 2)
         assert report.kind is SolitonClass.SHRINKING
@@ -70,7 +70,7 @@ class TestSolitonFromConformal:
     def test_non_solution_rejected(self):
         g, m = instantiate("affine2")
         with pytest.raises(NotAConformalSolution):
-            soliton_from_conformal(g, m, (0, 1), 1)
+            soliton_from_conformal(g, m, (0, 1), 1, curvature(g, m).scalar)
 
     @given(algebra_metric_pairs())
     @settings(max_examples=40, deadline=None)
@@ -78,7 +78,7 @@ class TestSolitonFromConformal:
         g, m = pair
         scalar = curvature(g, m).scalar
         for x, rho in conformal_space(g, m).solutions():
-            report = soliton_from_conformal(g, m, x, rho)
+            report = soliton_from_conformal(g, m, x, rho, scalar)
             assert report.constant == scalar - rho
             assert report.trivial == (rho == 0)
             assert report.kind is classify_constant(report.constant)
