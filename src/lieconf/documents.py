@@ -22,7 +22,7 @@ from .errors import (
     JacobiViolation,
     NotSymmetric,
 )
-from .exact import Vector
+from .exact import Vector, frac
 from .geometry import PseudoMetric
 
 
@@ -42,7 +42,7 @@ def parse_fraction(value: Any, path: str) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value.strip())
+            return frac(value)
         except (ValueError, ZeroDivisionError):
             raise DocumentError(path, f"invalid rational literal {value!r}") from None
     raise DocumentError(path, f"expected a rational 'p/q' string or integer, got {type(value).__name__}")

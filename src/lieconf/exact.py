@@ -8,6 +8,7 @@ The report layer depends on that.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -20,19 +21,30 @@ Vector = tuple[Fraction, ...]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+#: Largest decimal exponent a literal may carry (Python's int-string digit
+#: limit), checked before Fraction builds 10**e: "1e999999999" fails at once.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?[0_]*([\d_]*)$")
+
 
 def frac(value: Fraction | int | str) -> Fraction:
     """Coerce an int, a Fraction, or a "p/q" string to an exact Fraction.
 
     Floats are rejected on purpose: admitting them would silently launder
-    rounding error into the exact pipeline.
+    rounding error into the exact pipeline. A string whose decimal exponent
+    exceeds MAX_EXPONENT in magnitude raises ValueError.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        text = value.strip()
+        exponent = _EXPONENT.search(text)
+        digits = exponent[1].replace("_", "") if exponent else ""
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+            raise ValueError(f"exponent of {value!r} exceeds {MAX_EXPONENT} in magnitude")
+        return Fraction(text)
     raise TypeError(f"not an exact scalar: {value!r}")
 
 
@@ -248,23 +260,19 @@ def kernel(m: Matrix) -> "Subspace":
 
 
 def inverse(m: Matrix) -> Matrix:
-    """Exact inverse via Gauss-Jordan on the augmented matrix."""
+    """Exact inverse: the right half of the RREF of [m | I].
+
+    [m | I] always has rank n, so m is singular exactly when a pivot falls
+    in the right block.
+    """
     if not m.is_square():
         raise DimensionMismatch("only square matrices can be inverted")
     n = m.rows
-    a = [list(m.row(i)) + list(Matrix.identity(n).row(i)) for i in range(n)]
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrix(f"matrix of rank < {n} has no inverse")
-        a[c], a[pivot_row] = a[pivot_row], a[c]
-        p = a[c][c]
-        a[c] = [x / p for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return Matrix.from_rows([row[n:] for row in a])
+    identity = Matrix.identity(n)
+    reduced, pivots = rref(Matrix.from_rows([m.row(i) + identity.row(i) for i in range(n)]))
+    if pivots[-1] >= n:
+        raise SingularMatrix(f"matrix of rank < {n} has no inverse")
+    return Matrix.from_rows([reduced.row(i)[n:] for i in range(n)])
 
 
 def det(m: Matrix) -> Fraction:
@@ -422,9 +430,6 @@ class Subspace:
         if self.is_zero():
             return False
         return rank(Matrix.from_rows(list(self.basis) + [x])) == self.dim
-
-    def contains_subspace(self, other: Subspace) -> bool:
-        return all(self.contains(v) for v in other.basis)
 
     def basis_matrix(self) -> Matrix:
         if self.is_zero():

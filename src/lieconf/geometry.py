@@ -146,10 +146,6 @@ class PseudoMetric:
             return False
         return det(self.restricted_gram(s)) == 0
 
-    def transform(self, s: Matrix) -> PseudoMetric:
-        """The metric in the basis f_j = sum_i s[i][j] e_i, Gram s.T g s."""
-        return PseudoMetric(s.transpose() @ self.gram @ s)
-
     def __repr__(self) -> str:
         p, q = self.signature
         return f"PseudoMetric(dim={self.dim}, signature=({p}, {q}))"
@@ -164,20 +160,6 @@ class Connection:
 
     def nabla_basis(self, i: int, j: int) -> Vector:
         return self.table[i][j]
-
-    def nabla(self, i: int, v: Sequence[Fraction | int | str]) -> Vector:
-        """nabla_{e_i} v for a constant-coefficient field v."""
-        return _combination(self.dim, vector(v), self.table[i])
-
-
-def _combination(n: int, coeffs: Sequence[Fraction], vectors: Sequence[Vector]) -> Vector:
-    """sum_t coeffs[t] vectors[t] in QQ^n, skipping zero coefficients."""
-    out = [ZERO] * n
-    for c, v in zip(coeffs, vectors):
-        if c != 0:
-            for k in range(n):
-                out[k] += c * v[k]
-    return tuple(out)
 
 
 def lowered_structure(g: LieAlgebra, m: PseudoMetric) -> tuple[tuple[Vector, ...], ...]:
@@ -215,49 +197,43 @@ def levi_civita(g: LieAlgebra, m: PseudoMetric) -> Connection:
 
 @dataclass(frozen=True)
 class CurvatureReport:
-    """Riemann tensor on basis triples, Ricci form, and scalar curvature."""
+    """Ricci form and scalar curvature."""
 
-    riemann: tuple[tuple[tuple[Vector, ...], ...], ...]  # riemann[i][j][k] = R(e_i, e_j) e_k
     ricci: Matrix
     scalar: Fraction
     convention: dict
 
 
 def curvature(g: LieAlgebra, m: PseudoMetric, conn: Connection | None = None) -> CurvatureReport:
-    """Riemann, Ricci, and scalar curvature of the metric Lie algebra."""
-    if conn is None:
-        conn = levi_civita(g, m)
+    """Ricci and scalar curvature of the metric Lie algebra.
+
+    With G[a][b] = nabla_{e_a} e_b and tau_t = sum_i G[i][t]_i, the trace
+    over i of R(e_i, e_y)e_z contracts to
+
+        ric(y, z) = sum_t G[y][z]_t tau_t - sum_{i,t} G[i][z]_t G[y][t]_i
+                    - sum_{i,a} [e_i, e_y]_a G[a][z]_i,
+
+    read straight from the Koszul table without building R(e_i, e_j)e_k.
+    """
+    table = (conn or levi_civita(g, m)).table
     n = g.dim
-    # along[k][a] = nabla_{e_a} e_k, so nabla_u e_k is a combination of along[k]
-    along = [[conn.table[a][k] for a in range(n)] for k in range(n)]
-    riemann = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            line = []
-            for k in range(n):
-                value = tuple(
-                    a - b - c
-                    for a, b, c in zip(
-                        conn.nabla(i, conn.nabla_basis(j, k)),
-                        conn.nabla(j, conn.nabla_basis(i, k)),
-                        _combination(n, g.bracket_basis(i, j), along[k]),
-                    )
-                )
-                line.append(value)
-            plane.append(tuple(line))
-        riemann.append(tuple(plane))
-    ricci_rows = [
-        [
-            sum((riemann[i][y][z][i] for i in range(n)), start=ZERO)
-            for z in range(n)
-        ]
-        for y in range(n)
-    ]
+    tau = [sum((table[i][t][i] for i in range(n)), start=ZERO) for t in range(n)]
+    ricci_rows = []
+    for y in range(n):
+        brackets = [g.bracket_basis(i, y) for i in range(n)]
+        row = []
+        for z in range(n):
+            value = sum((a * b for a, b in zip(table[y][z], tau) if a), start=ZERO)
+            for i in range(n):
+                for t, a in enumerate(table[i][z]):
+                    if a:
+                        value -= a * table[y][t][i]
+                for a, c in enumerate(brackets[i]):
+                    if c:
+                        value -= c * table[a][z][i]
+            row.append(value)
+        ricci_rows.append(row)
     ricci = Matrix.from_rows(ricci_rows)
     ginv = m.inverse_gram
-    scalar = sum(
-        (ginv.at(i, j) * ricci.at(i, j) for i in range(n) for j in range(n)),
-        start=ZERO,
-    )
-    return CurvatureReport(tuple(riemann), ricci, scalar, dict(CURVATURE_CONVENTION))
+    scalar = sum((ginv.at(i, j) * ricci.at(i, j) for i in range(n) for j in range(n)), start=ZERO)
+    return CurvatureReport(ricci, scalar, dict(CURVATURE_CONVENTION))

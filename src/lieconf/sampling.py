@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 from . import catalog
@@ -23,10 +24,6 @@ from .geometry import PseudoMetric
 
 def random_fraction(rng: random.Random, numerator: int = 9, denominator: int = 4) -> Fraction:
     return Fraction(rng.randint(-numerator, numerator), rng.randint(1, denominator))
-
-
-def random_vector(rng: random.Random, n: int) -> tuple[Fraction, ...]:
-    return tuple(random_fraction(rng) for _ in range(n))
 
 
 def random_int_matrix(rng: random.Random, n: int, bound: int = 4) -> Matrix:
@@ -81,13 +78,19 @@ _CONJUGATION_POOL: tuple[tuple[str, dict], ...] = (
 )
 
 
+@cache
+def _conjugation_bases() -> tuple[LieAlgebra, ...]:
+    """The pool's algebras, instantiated (and Jacobi-checked) once, on first use."""
+    return tuple(catalog.instantiate(*spec)[0] for spec in _CONJUGATION_POOL)
+
+
 def random_algebra(rng: random.Random, dim: int) -> LieAlgebra:
     """A random Jacobi-valid algebra of the given dimension (2..4)."""
-    candidates = [spec for spec in _CONJUGATION_POOL if catalog.instantiate(*spec)[0].dim == dim]
+    candidates = [g for g in _conjugation_bases() if g.dim == dim]
     if rng.random() < 0.5 or not candidates:
         base = random_line_action_algebra(rng, dim)
     else:
-        base = catalog.instantiate(*rng.choice(candidates))[0]
+        base = rng.choice(candidates)
     return base.change_of_basis(random_invertible(rng, dim))
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from lieconf import Matrix, Subspace, kernel, lie_derivative_metric
 from lieconf.algebra import LieAlgebra
 from lieconf.exact import basis_vector
-from lieconf.geometry import PseudoMetric
+from lieconf.geometry import Connection, PseudoMetric
 from lieconf import sampling
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
@@ -157,6 +157,72 @@ def soliton_system(g: LieAlgebra, m: PseudoMetric) -> Matrix:
 def soliton_solution_space(g: LieAlgebra, m: PseudoMetric) -> Subspace:
     """All (x, mu) soliton pairs, mu = lambda - R, as a canonical subspace."""
     return kernel(soliton_system(g, m))
+
+
+def riemann_tensor(g: LieAlgebra, conn: Connection) -> list[list[list[tuple[Fraction, ...]]]]:
+    """R(e_i, e_j)e_k = nabla_i nabla_j e_k - nabla_j nabla_i e_k - nabla_[e_i,e_j] e_k.
+
+    The library contracts Ricci straight from the Koszul table and never
+    builds this tensor; here nabla_u v = sum_ab u_a v_b nabla_{e_a} e_b is
+    expanded bilinearly in its own loop, for the Bianchi and symmetry checks.
+    """
+    n = g.dim
+
+    def nabla(u, v):
+        out = [Fraction(0)] * n
+        for a in range(n):
+            for b in range(n):
+                if u[a] and v[b]:
+                    for k in range(n):
+                        out[k] += u[a] * v[b] * conn.table[a][b][k]
+        return out
+
+    e = [basis_vector(n, i) for i in range(n)]
+    return [
+        [
+            [
+                tuple(
+                    p - q - r
+                    for p, q, r in zip(
+                        nabla(e[i], conn.table[j][k]),
+                        nabla(e[j], conn.table[i][k]),
+                        nabla(g.bracket_basis(i, j), e[k]),
+                    )
+                )
+                for k in range(n)
+            ]
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def milnor_scalar(g: LieAlgebra, m: PseudoMetric) -> Fraction:
+    """Scalar curvature by Milnor's formula, with no connection at all.
+
+    s = -1/4 sum g^{ia} g^{jb} <[e_i,e_j],[e_a,e_b]> - 1/2 sum g^{ij} B(e_i,e_j)
+        - <H,H>, with B the Killing form and <H,X> = tr ad_X (Milnor 1976;
+    Besse, Einstein Manifolds 7.38-7.39). The inverse Gram matrix and the
+    ad matrices come from sympy.
+    """
+    n = g.dim
+    ginv = to_sympy(m.gram).inv()
+    ads = brackets_oracle(g)
+    gram = to_sympy(m.gram)
+    brackets = {(i, j): ads[i][:, j] for i in range(n) for j in range(n)}
+    first = sum(
+        ginv[i, a] * ginv[j, b] * (brackets[i, j].T * gram * brackets[a, b])[0, 0]
+        for i in range(n)
+        for j in range(n)
+        for a in range(n)
+        for b in range(n)
+        if ginv[i, a] != 0 and ginv[j, b] != 0
+    )
+    killing = sum(ginv[i, j] * (ads[i] * ads[j]).trace() for i in range(n) for j in range(n))
+    traces = [ad.trace() for ad in ads]
+    mean = sum(ginv[i, j] * traces[i] * traces[j] for i in range(n) for j in range(n))
+    value = sympy.Rational(-1, 4) * first - sympy.Rational(1, 2) * killing - mean
+    return Fraction(int(value.p), int(value.q))
 
 
 # -- acceptance reporting --------------------------------------------------------

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import sympy
 
-from helpers import record_acceptance
+from helpers import record_acceptance, riemann_tensor
 from lieconf import (
     Matrix,
     conformal_space,
@@ -337,18 +337,18 @@ def _connection_curvature_problems(label: str, g, m) -> list[str]:
                     != 0
                 ):
                     problems.append(f"{label}: metric compatibility at ({i}, {j}, {k})")
-    rep = curvature(g, m, conn)
+    riemann = riemann_tensor(g, conn)
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                if rep.riemann[i][j][k] != tuple(-c for c in rep.riemann[j][i][k]):
+                if riemann[i][j][k] != tuple(-c for c in riemann[j][i][k]):
                     problems.append(f"{label}: antisymmetry at ({i}, {j}, {k})")
                 cyclic = [
                     a + b + c
                     for a, b, c in zip(
-                        rep.riemann[i][j][k],
-                        rep.riemann[j][k][i],
-                        rep.riemann[k][i][j],
+                        riemann[i][j][k],
+                        riemann[j][k][i],
+                        riemann[k][i][j],
                     )
                 ]
                 if any(c != 0 for c in cyclic):

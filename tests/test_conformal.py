@@ -17,6 +17,7 @@ from lieconf import (
     Subspace,
     VerdictStatus,
     conformal_space,
+    congruence_diagonalize,
     instantiate,
     inverse,
     is_conformal_solution,
@@ -135,20 +136,27 @@ class TestConformalSpace:
     @given(algebra_metric_pairs(max_dim=3))
     @settings(max_examples=25, deadline=None)
     def test_basis_change_covariance(self, pair):
+        # A unipotent basis change and an orthogonal basis for the metric
+        # both carry solutions to solutions and keep the unimodular verdict.
         g, m = pair
         n = g.dim
         rows = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
         for i in range(n - 1):
             rows[i][i + 1] = Fraction(2)
-        s = Matrix.from_rows(rows)
-        g2 = g.change_of_basis(s)
-        m2 = m.transform(s)
+        _, orthogonal = congruence_diagonalize(m.gram)
         c = conformal_space(g, m)
-        c2 = conformal_space(g2, m2)
-        assert c2.dim == c.dim
-        sinv = inverse(s)
-        for x, rho in c.solutions():
-            assert c2.contains(sinv.apply(x), rho)
+        for s in (Matrix.from_rows(rows), orthogonal):
+            g2 = g.change_of_basis(s)
+            m2 = PseudoMetric(s.transpose() @ m.gram @ s)
+            c2 = conformal_space(g2, m2)
+            assert c2.dim == c.dim
+            sinv = inverse(s)
+            for x, rho in c.solutions():
+                assert c2.contains(sinv.apply(x), rho)
+            assert (
+                verify_theorem_unimodular(g2, m2, c2).status
+                is verify_theorem_unimodular(g, m, c).status
+            )
 
 
 class TestKillingSlice:
@@ -186,6 +194,18 @@ class TestVerifiers:
             report = verify_theorem_unimodular(g, m, conformal_space(g, m))
             assert report.status is VerdictStatus.PASSED
             assert report.passed
+
+    def test_unimodular_theorem_names_nonkilling_basis_vector(self):
+        # The verifier reads only the space it is given: a hand-built space
+        # on heisenberg3 with a rho != 0 basis vector is a violation.
+        g, m = instantiate("heisenberg3")
+        solved = verify_theorem_unimodular(g, m, conformal_space(g, m))
+        assert solved.detail == "dim 1 all Killing"
+        space = ConformalSolutionSpace(3, Subspace.span(4, [(0, 0, 1, 0), (1, 0, 0, 2)]))
+        report = verify_theorem_unimodular(g, m, space)
+        assert report.status is VerdictStatus.VIOLATED
+        assert report.detail == "non-Killing solution found"
+        assert report.counterexample == (1, 0, 0, 2)
 
     def test_unimodular_theorem_skips_nonunimodular(self):
         g, m = instantiate("affine2")

@@ -35,9 +35,11 @@ class TestFractionCodec:
         assert parse_fraction(4, "x") == Fraction(4)
         assert parse_fraction("-3/2", "x") == Fraction(-3, 2)
         assert parse_fraction(" 5 ", "x") == Fraction(5)
+        assert parse_fraction("1e3", "x") == Fraction(1000)
 
     def test_parse_rejects_bool_float_and_garbage(self):
-        for bad in (True, 1.5, None, [1]):
+        # a decimal exponent above 4300 in magnitude is refused before 10**e is built
+        for bad in (True, 1.5, None, [1], "1e5000", "-2e-5000", "1e999999999"):
             with pytest.raises(DocumentError):
                 parse_fraction(bad, "x")
         with pytest.raises(DocumentError) as exc:

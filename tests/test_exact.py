@@ -45,6 +45,14 @@ class TestFrac:
         with pytest.raises(TypeError):
             frac(0.5)
 
+    def test_exponent_magnitude_bounded(self):
+        assert frac("1e3") == Fraction(1000)
+        assert frac(" -3/2 ") == Fraction(-3, 2)
+        assert frac("5e-4300") == Fraction(5, 10**4300)
+        for bad in ("1e4301", "1E-5000", "1e+0000000005000", "1e999999999", "1e" + "9" * 5000):
+            with pytest.raises(ValueError, match="exceeds 4300"):
+                frac(bad)
+
 
 class TestKernel:
     def test_identity_has_zero_kernel(self):

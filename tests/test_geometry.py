@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from helpers import algebra_metric_pairs, sympy_inertia
+from helpers import algebra_metric_pairs, milnor_scalar, riemann_tensor, sympy_inertia
 from lieconf import (
     CausalCharacter,
     Degenerate,
@@ -192,10 +192,11 @@ class TestCurvature:
     def test_abelian_flat(self):
         g, m = instantiate("abelian", {"n": 3})
         rep = curvature(g, m)
+        riemann = riemann_tensor(g, levi_civita(g, m))
         assert rep.scalar == 0
         assert rep.ricci == Matrix.zeros(3, 3)
         assert all(
-            all(c == 0 for c in rep.riemann[i][j][k])
+            all(c == 0 for c in riemann[i][j][k])
             for i in range(3)
             for j in range(3)
             for k in range(3)
@@ -228,25 +229,43 @@ class TestCurvature:
     def test_tensor_symmetries(self, pair):
         g, m = pair
         rep = curvature(g, m)
+        riemann = riemann_tensor(g, levi_civita(g, m))
         n = g.dim
         for i in range(n):
             for j in range(n):
                 for k in range(n):
                     # antisymmetry in the first two slots
-                    assert rep.riemann[i][j][k] == tuple(
-                        -c for c in rep.riemann[j][i][k]
+                    assert riemann[i][j][k] == tuple(
+                        -c for c in riemann[j][i][k]
                     )
                     # first Bianchi identity
                     total = [
                         a + b + c
                         for a, b, c in zip(
-                            rep.riemann[i][j][k],
-                            rep.riemann[j][k][i],
-                            rep.riemann[k][i][j],
+                            riemann[i][j][k],
+                            riemann[j][k][i],
+                            riemann[k][i][j],
                         )
                     ]
                     assert all(c == 0 for c in total)
         assert rep.ricci.is_symmetric()
+        # the direct Ricci contraction is the trace of the full tensor
+        assert rep.ricci == Matrix.from_rows(
+            [[sum((riemann[i][y][z][i] for i in range(n)), Fraction(0)) for z in range(n)] for y in range(n)]
+        )
+
+    @given(algebra_metric_pairs())
+    @settings(max_examples=30, deadline=None)
+    def test_scalar_matches_milnor_formula(self, pair):
+        g, m = pair
+        assert curvature(g, m).scalar == milnor_scalar(g, m)
+
+    def test_milnor_formula_flat_on_null_pair(self):
+        # A second route to the value acceptance check 3 disputes: Milnor's
+        # formula also gives 0, not alpha(1 - alpha)/2, for every alpha.
+        for alpha in (0, Fraction(1, 2), 1, 2):
+            g, m = instantiate("damekricci4", {"alpha": alpha})
+            assert milnor_scalar(g, m) == 0
 
     @given(algebra_metric_pairs(max_dim=3))
     @settings(max_examples=25, deadline=None)
@@ -261,7 +280,7 @@ class TestCurvature:
             rows[i][i + 1] = Fraction(1)
         s = Matrix.from_rows(rows)
         g2 = g.change_of_basis(s)
-        m2 = m.transform(s)
+        m2 = PseudoMetric(s.transpose() @ m.gram @ s)
         assert curvature(g2, m2).scalar == curvature(g, m).scalar
 
     @given(algebra_metric_pairs())
