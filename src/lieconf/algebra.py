@@ -32,6 +32,11 @@ from .exact import (
 
 BracketTable = Mapping[tuple[int, int], Sequence[Fraction | int | str]]
 
+#: Largest dimension a catalog family or an instance document may ask for.
+#: Every layer is dense and exact (n^3 Koszul entries, O(n^4) Ricci): abelian
+#: at n = 64 already takes minutes, and n = 10**6 would not fit in memory.
+MAX_DIM = 64
+
 
 class LieAlgebra:
     """A finite-dimensional Lie algebra over QQ with a distinguished basis.
@@ -41,7 +46,7 @@ class LieAlgebra:
     only way construction can fail once shapes are right.
     """
 
-    __slots__ = ("dim", "_table", "_unimodular")
+    __slots__ = ("dim", "_table", "_unimodular", "_center", "_commutator")
 
     def __init__(self, dim: int, brackets: BracketTable) -> None:
         if dim < 1:
@@ -62,6 +67,8 @@ class LieAlgebra:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_unimodular", None)
+        object.__setattr__(self, "_center", None)
+        object.__setattr__(self, "_commutator", None)
         self._check_jacobi()
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -133,42 +140,19 @@ class LieAlgebra:
 
     def center(self) -> Subspace:
         """{x : [x, y] = 0 for all y}, via the kernel of the stacked adjoints."""
-        stacked = stack([self.ad(basis_vector(self.dim, i)) for i in range(self.dim)])
-        return kernel(stacked)
+        cached = self._center
+        if cached is None:
+            cached = kernel(stack([self.ad(basis_vector(self.dim, i)) for i in range(self.dim)]))
+            object.__setattr__(self, "_center", cached)
+        return cached
 
     def commutator_ideal(self) -> Subspace:
         """[g, g] = span of all basis brackets."""
-        return Subspace.span(self.dim, list(self._table.values()))
-
-    def bracket_subspaces(self, a: Subspace, b: Subspace) -> Subspace:
-        """span{[x, y] : x in a, y in b}."""
-        vectors = [self.bracket(x, y) for x in a.basis for y in b.basis]
-        return Subspace.span(self.dim, vectors)
-
-    def derived_series(self) -> list[Subspace]:
-        """g >= [g,g] >= [[g,g],[g,g]] >= ..., listed until it stabilises."""
-        series = [Subspace.full(self.dim)]
-        while True:
-            nxt = self.bracket_subspaces(series[-1], series[-1])
-            if nxt == series[-1]:
-                return series
-            series.append(nxt)
-
-    def lower_central_series(self) -> list[Subspace]:
-        """g >= [g,g] >= [g,[g,g]] >= ..., listed until it stabilises."""
-        full = Subspace.full(self.dim)
-        series = [full]
-        while True:
-            nxt = self.bracket_subspaces(full, series[-1])
-            if nxt == series[-1]:
-                return series
-            series.append(nxt)
-
-    def is_solvable(self) -> bool:
-        return self.derived_series()[-1].is_zero()
-
-    def is_nilpotent(self) -> bool:
-        return self.lower_central_series()[-1].is_zero()
+        cached = self._commutator
+        if cached is None:
+            cached = Subspace.span(self.dim, list(self._table.values()))
+            object.__setattr__(self, "_commutator", cached)
+        return cached
 
     # -- basis changes -------------------------------------------------------
 

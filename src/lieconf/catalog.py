@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .algebra import LieAlgebra
+from .algebra import MAX_DIM, LieAlgebra
 from .errors import ConstraintViolated, UnknownFamily
 from .exact import ONE, ZERO, frac
 from .geometry import PseudoMetric
@@ -67,6 +67,8 @@ def _int_param(params: dict[str, Fraction], name: str, minimum: int) -> int:
     n = int(value)
     if n < minimum:
         raise ConstraintViolated(name, f"must be at least {minimum}")
+    if n > MAX_DIM:
+        raise ConstraintViolated(name, f"must be at most {MAX_DIM}")
     return n
 
 

@@ -29,7 +29,6 @@ from .exact import (
     Subspace,
     Vector,
     ZERO,
-    basis_vector,
     frac,
     kernel,
     vector,
@@ -40,30 +39,32 @@ from .geometry import PseudoMetric, lowered_structure
 def lie_derivative_metric(
     g: LieAlgebra, m: PseudoMetric, x: Sequence[Fraction | int | str]
 ) -> Matrix:
-    """(L_x g) as an exact symmetric matrix in the distinguished basis."""
+    """(L_x g) = -(ad_x^T G + G ad_x) as an exact symmetric matrix.
+
+    The bracket comes first (ad_x) and the Gram matrix second, so this
+    never reads the lowered structure constants the conformal solver uses.
+    """
     if g.dim != m.dim:
         raise DimensionMismatch("algebra and metric dimensions differ")
     xv = vector(x)
     if len(xv) != g.dim:
         raise DimensionMismatch("field coordinates must match the algebra dimension")
-    n = g.dim
-    basis = [basis_vector(n, i) for i in range(n)]
-    brackets = [g.bracket(xv, basis[i]) for i in range(n)]
-    rows = [
-        [-m.inner(brackets[i], basis[j]) - m.inner(basis[i], brackets[j]) for j in range(n)]
-        for i in range(n)
-    ]
-    return Matrix.from_rows(rows)
+    # the Gram matrix is symmetric, so ad_x^T G is the transpose of G ad_x
+    gram_ad = m.gram @ g.ad(xv)
+    return -(gram_ad + gram_ad.transpose())
 
 
-def conformal_system(g: LieAlgebra, m: PseudoMetric) -> Matrix:
+def conformal_system(
+    g: LieAlgebra, m: PseudoMetric, low: tuple[tuple[Vector, ...], ...] | None = None
+) -> Matrix:
     """The linear system whose kernel is the conformal solution space.
 
     Unknowns are (x_1, ..., x_n, rho); one row per unordered basis pair
     (i, j) with i <= j encodes (L_X g)(e_i, e_j) - 2 rho g_ij = 0, read
-    from the lowered structure constants.
+    from the lowered structure constants `low` (computed when not given).
     """
-    low = lowered_structure(g, m)
+    if low is None:
+        low = lowered_structure(g, m)
     n = g.dim
     rows = []
     for i in range(n):
@@ -99,9 +100,11 @@ class ConformalSolutionSpace:
         return self.space.contains(vector(x) + (frac(rho),))
 
 
-def conformal_space(g: LieAlgebra, m: PseudoMetric) -> ConformalSolutionSpace:
+def conformal_space(
+    g: LieAlgebra, m: PseudoMetric, low: tuple[tuple[Vector, ...], ...] | None = None
+) -> ConformalSolutionSpace:
     """Solve the conformal equation jointly in (x, rho)."""
-    return ConformalSolutionSpace(g.dim, kernel(conformal_system(g, m)))
+    return ConformalSolutionSpace(g.dim, kernel(conformal_system(g, m, low)))
 
 
 def is_conformal_solution(

@@ -10,16 +10,18 @@ path into the document, e.g. "brackets[2].coeffs.3".
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Mapping
 
-from .algebra import LieAlgebra
+from .algebra import MAX_DIM, LieAlgebra
 from .errors import (
     Degenerate,
     DimensionMismatch,
     DocumentError,
     JacobiViolation,
+    LieconfError,
     NotSymmetric,
 )
 from .exact import Vector, frac
@@ -28,7 +30,12 @@ from .geometry import PseudoMetric
 
 def format_fraction(value: Fraction) -> str:
     """Serialize exactly as a string: "p/q", or "n" when integral."""
-    return str(value)
+    try:
+        return str(value)
+    except ValueError:  # a numerator or denominator past Python's int-to-string limit
+        raise LieconfError(
+            f"a rational in the output has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def format_vector(v: Vector) -> list[str]:
@@ -76,6 +83,8 @@ def parse_instance(doc: Mapping[str, Any]) -> Instance:
     dim = _require_int(doc["dim"], "dim")
     if dim < 1:
         raise DocumentError("dim", "dimension must be at least 1")
+    if dim > MAX_DIM:
+        raise DocumentError("dim", f"dimension must be at most {MAX_DIM}")
 
     name = doc.get("name")
     if name is not None and not isinstance(name, str):
@@ -149,6 +158,11 @@ def parse_instance_json(text: str) -> Instance:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError("$", f"invalid JSON: {exc}") from exc
+    except ValueError:
+        # the only other ValueError json.loads raises: int() refusing a long literal
+        raise DocumentError(
+            "$", f"an integer literal has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
     return parse_instance(doc)
 
 

@@ -30,7 +30,6 @@ from .exact import (
     ZERO,
     det,
     inverse,
-    kernel,
     signature,
     vector,
     zero_vector,
@@ -123,15 +122,6 @@ class PseudoMetric:
             return CausalCharacter.TIMELIKE
         return CausalCharacter.LIGHTLIKE
 
-    def orthogonal_complement(self, s: Subspace) -> Subspace:
-        """{v : <b, v> = 0 for every b in s}; dim is complementary, though
-        the two spaces can intersect when the restriction is degenerate."""
-        if s.ambient_dim != self.dim:
-            raise DimensionMismatch("subspace lives in a different dimension")
-        if s.is_zero():
-            return Subspace.full(self.dim)
-        return kernel(s.basis_matrix() @ self.gram)
-
     def restricted_gram(self, s: Subspace) -> Matrix:
         if s.is_zero():
             raise DimensionMismatch("the zero subspace has no restricted Gram matrix")
@@ -158,9 +148,6 @@ class Connection:
     dim: int
     table: tuple[tuple[Vector, ...], ...]  # table[i][j] = nabla_{e_i} e_j
 
-    def nabla_basis(self, i: int, j: int) -> Vector:
-        return self.table[i][j]
-
 
 def lowered_structure(g: LieAlgebra, m: PseudoMetric) -> tuple[tuple[Vector, ...], ...]:
     """The lowered structure constants low[i][j][k] = <[e_i, e_j], e_k>.
@@ -178,9 +165,13 @@ def lowered_structure(g: LieAlgebra, m: PseudoMetric) -> tuple[tuple[Vector, ...
     return tuple(tuple(row) for row in low)
 
 
-def levi_civita(g: LieAlgebra, m: PseudoMetric) -> Connection:
-    """The unique torsion-free metric connection, from the Koszul formula."""
-    low = lowered_structure(g, m)
+def levi_civita(
+    g: LieAlgebra, m: PseudoMetric, low: tuple[tuple[Vector, ...], ...] | None = None
+) -> Connection:
+    """The unique torsion-free metric connection, from the Koszul formula,
+    read from `low = lowered_structure(g, m)` (computed when not given)."""
+    if low is None:
+        low = lowered_structure(g, m)
     n = g.dim
     ginv = m.inverse_gram
     half = Fraction(1, 2)
@@ -215,7 +206,7 @@ def curvature(g: LieAlgebra, m: PseudoMetric, conn: Connection | None = None) ->
 
     read straight from the Koszul table without building R(e_i, e_j)e_k.
     """
-    table = (conn or levi_civita(g, m)).table
+    table = (levi_civita(g, m) if conn is None else conn).table
     n = g.dim
     tau = [sum((table[i][t][i] for i in range(n)), start=ZERO) for t in range(n)]
     ricci_rows = []

@@ -26,7 +26,7 @@ from .conformal import (
 )
 from .documents import format_fraction, format_vector
 from .exact import Subspace
-from .geometry import PseudoMetric, curvature
+from .geometry import PseudoMetric, curvature, levi_civita, lowered_structure
 from .yamabe import soliton_from_conformal, verify_corollary_unimodular
 
 
@@ -63,8 +63,9 @@ def verdict_docs(
 def build_report(g: LieAlgebra, m: PseudoMetric, name: str | None = None) -> dict[str, Any]:
     """Assemble the full analysis of one instance as a JSON-ready dict."""
     p, q = m.signature
-    curv = curvature(g, m)
-    space = conformal_space(g, m)
+    low = lowered_structure(g, m)
+    curv = curvature(g, m, levi_civita(g, m, low))
+    space = conformal_space(g, m, low)
     solitons = [
         soliton_from_conformal(g, m, x, rho, curv.scalar) for x, rho in space.solutions()
     ]

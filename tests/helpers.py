@@ -9,6 +9,7 @@ import sympy
 from hypothesis import strategies as st
 
 from lieconf import Matrix, Subspace, kernel, lie_derivative_metric
+from lieconf.errors import DimensionMismatch
 from lieconf.algebra import LieAlgebra
 from lieconf.exact import basis_vector
 from lieconf.geometry import Connection, PseudoMetric
@@ -133,6 +134,33 @@ def sympy_conformal_basis(g: LieAlgebra, m: PseudoMetric) -> list[tuple[Fraction
         tuple(Fraction(int(c.p), int(c.q)) for c in column)
         for column in system.nullspace()
     ]
+
+
+def orthogonal_complement(m: PseudoMetric, s: Subspace) -> Subspace:
+    """{v : <b, v> = 0 for every b in s}; dim is complementary, though
+    the two spaces can intersect when the restriction is degenerate."""
+    if s.ambient_dim != m.dim:
+        raise DimensionMismatch("subspace lives in a different dimension")
+    if s.is_zero():
+        return Subspace.full(m.dim)
+    return kernel(s.basis_matrix() @ m.gram)
+
+
+def lie_derivative_by_inner(g: LieAlgebra, m: PseudoMetric, x) -> Matrix:
+    """(L_x g)(e_i, e_j) = -<[x, e_i], e_j> - <e_i, [x, e_j]>, entry by entry.
+
+    Brackets x with each basis vector and pairs through `m.inner`, with no
+    ad matrix or matrix product, as the oracle for `lie_derivative_metric`.
+    """
+    n = g.dim
+    basis = [basis_vector(n, i) for i in range(n)]
+    brackets = [g.bracket(x, basis[i]) for i in range(n)]
+    return Matrix.from_rows(
+        [
+            [-m.inner(brackets[i], basis[j]) - m.inner(basis[i], brackets[j]) for j in range(n)]
+            for i in range(n)
+        ]
+    )
 
 
 def soliton_system(g: LieAlgebra, m: PseudoMetric) -> Matrix:

@@ -326,14 +326,14 @@ def _connection_curvature_problems(label: str, g, m) -> list[str]:
     for i in range(n):
         for j in range(n):
             torsion = [
-                a - b for a, b in zip(conn.nabla_basis(i, j), conn.nabla_basis(j, i))
+                a - b for a, b in zip(conn.table[i][j], conn.table[j][i])
             ]
             if torsion != list(g.bracket_basis(i, j)):
                 problems.append(f"{label}: torsion at ({i}, {j})")
             for k in range(n):
                 if (
-                    m.inner(conn.nabla_basis(i, j), basis[k])
-                    + m.inner(basis[j], conn.nabla_basis(i, k))
+                    m.inner(conn.table[i][j], basis[k])
+                    + m.inner(basis[j], conn.table[i][k])
                     != 0
                 ):
                     problems.append(f"{label}: metric compatibility at ({i}, {j}, {k})")

@@ -131,31 +131,6 @@ class TestInvariantSubspaces:
             assert g.center().is_zero()
 
 
-class TestSeriesAndPredicates:
-    def test_affine_solvable_not_nilpotent(self):
-        g = _affine()
-        assert g.is_solvable()
-        assert not g.is_nilpotent()
-
-    def test_heisenberg_nilpotent(self):
-        g = _heisenberg()
-        assert g.is_nilpotent()
-        assert g.is_solvable()
-        assert [s.dim for s in g.lower_central_series()] == [3, 1, 0]
-
-    def test_so3_not_solvable(self):
-        g, _ = instantiate("so3")
-        assert not g.is_solvable()
-        assert not g.is_nilpotent()
-        # [g, g] = g, so the series stabilises at the full algebra right away.
-        assert [s.dim for s in g.derived_series()] == [3]
-
-    def test_abelian_series(self):
-        g, _ = instantiate("abelian", {"n": 2})
-        assert g.is_nilpotent()
-        assert [s.dim for s in g.derived_series()] == [2, 0]
-
-
 class TestChangeOfBasis:
     def test_bracket_covariance(self):
         g = _heisenberg()
@@ -175,8 +150,7 @@ class TestChangeOfBasis:
         h = g.change_of_basis(s)
         assert h.is_unimodular == g.is_unimodular
         assert h.commutator_ideal().dim == g.commutator_ideal().dim
-        assert h.is_solvable() == g.is_solvable()
-        assert h.is_nilpotent() == g.is_nilpotent()
+        assert h.center().dim == g.center().dim
 
     def test_singular_matrix_rejected(self):
         with pytest.raises(SingularMatrix):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from lieconf.algebra import MAX_DIM
 from lieconf import (
     ConstraintViolated,
     UnknownFamily,
@@ -95,6 +96,13 @@ class TestConstraints:
             instantiate("abelian", {"n": 2, "p": 3})
         with pytest.raises(ConstraintViolated):
             instantiate("abelian", {"n": 0})
+
+    @pytest.mark.parametrize("name", ["abelian", "diagonalN", "gradedN"])
+    def test_dimension_bounded(self, name):
+        with pytest.raises(ConstraintViolated) as exc:
+            instantiate(name, {"n": MAX_DIM + 1})
+        assert exc.value.param == "n"
+        assert str(MAX_DIM) in exc.value.constraint
 
     def test_diagonaln_eigenvalue_constraints(self):
         with pytest.raises(ConstraintViolated):

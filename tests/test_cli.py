@@ -7,8 +7,9 @@ import json
 
 import pytest
 
-from lieconf import build_report, conformal, geometry, instantiate, verification_targets, yamabe
+from lieconf import algebra, build_report, conformal, geometry, instantiate, verification_targets, yamabe
 from lieconf import report as report_module
+from lieconf.algebra import MAX_DIM
 from lieconf.cli import main
 
 
@@ -120,6 +121,43 @@ class TestAnalyze:
         assert out == ""
         assert err.startswith("error: brackets[0].coeffs.3: invalid rational literal")
 
+    def test_oversized_json_integer_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "longint.json"
+        path.write_text(
+            '{"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": 1' + "0" * 5000 + "}}], "
+            '"metric": [[1, 0, 0], [0, 1, 0], [0, 0, -1]]}',
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "analyze", "--input", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: $: an integer literal has more than 4300 digits\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_output_rational_too_long_to_print(self, capsys, tmp_path, fmt):
+        # the scalar curvature of this instance has about 6,000 digits
+        doc = {"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1e3000"}}], "metric": [[1, 0, 0], [0, 1, 0], [0, 0, -1]]}
+        path = tmp_path / "bigscalar.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "analyze", "--input", str(path), "--format", fmt)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: a rational in the output has more than 4300 digits")
+
+    @pytest.mark.parametrize(
+        ("argv", "expected_code", "expected_err"),
+        [
+            (("catalog", "emit", "abelian", "--param", f"n={MAX_DIM + 1}"), 2, f"error: parameter 'n': must be at most {MAX_DIM}\n"),
+            (("analyze", "--input", "{path}"), 1, f"error: dim: dimension must be at most {MAX_DIM}\n"),
+        ],
+        ids=["family", "document"],
+    )
+    def test_dimension_bounded(self, capsys, tmp_path, argv, expected_code, expected_err):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"dim": MAX_DIM + 1, "brackets": [], "metric": []}), encoding="utf-8")
+        code, out, err = run(capsys, *(a.format(path=path) for a in argv))
+        assert (code, out, err) == (expected_code, "", expected_err)
+
     def test_unreadable_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "analyze", "--input", str(tmp_path / "absent.json"))
         assert code == 1
@@ -225,9 +263,9 @@ class TestSolvesOnce:
         calls = []
         solve = conformal.conformal_system
 
-        def counted(g, m):
-            calls.append(g.dim)
-            return solve(g, m)
+        def counted(*args):
+            calls.append(args[0].dim)
+            return solve(*args)
 
         monkeypatch.setattr(conformal, "conformal_system", counted)
         build_report(*instantiate(family))
@@ -237,22 +275,63 @@ class TestSolvesOnce:
         assert code == 0
         assert len(calls) == 1
 
+    def test_structure_computed_once_per_instance(self, capsys, monkeypatch):
+        # affine2 has a non-Killing solution, so the report, the bounds
+        # verifier and the degenerate verifier all read the centre and the
+        # commutator ideal; counted here is the work behind their caches.
+        calls = []
+        lower, stack, span = geometry.lowered_structure, algebra.stack, algebra.Subspace.span
+
+        def counted_lower(*args):
+            calls.append("lowered_structure")
+            return lower(*args)
+
+        def counted_stack(*args):
+            calls.append("center")
+            return stack(*args)
+
+        class CountedSubspace:
+            @staticmethod
+            def span(*args):
+                calls.append("commutator_ideal")
+                return span(*args)
+
+        for module in (geometry, conformal, report_module):
+            monkeypatch.setattr(module, "lowered_structure", counted_lower)
+        monkeypatch.setattr(algebra, "stack", counted_stack)
+        monkeypatch.setattr(algebra, "Subspace", CountedSubspace)
+        expected = ["center", "commutator_ideal", "lowered_structure"]
+        build_report(*instantiate("affine2"))
+        assert sorted(calls) == expected
+        calls.clear()
+        code, _, _ = run(capsys, "verify", "--family", "affine2")
+        assert code == 0
+        assert sorted(calls) == expected
+
 
 class TestCurvatureOnce:
-    # A report reads the one scalar curvature it computes for its solitons.
+    # A report reads the one scalar curvature it computes for its solitons,
+    # from the one connection it builds.
     def test_build_report_computes_curvature_once(self, monkeypatch):
-        calls = []
-        compute = geometry.curvature
+        built, received = [], []
+        compute, connect = geometry.curvature, geometry.levi_civita
 
         def counted(g, m, conn=None):
-            calls.append(g.dim)
+            received.append(conn)
             return compute(g, m, conn)
+
+        def counted_connection(*args):
+            built.append(connect(*args))
+            return built[-1]
 
         for module in (geometry, report_module, yamabe):
             monkeypatch.setattr(module, "curvature", counted)
+        for module in (geometry, report_module):
+            monkeypatch.setattr(module, "levi_civita", counted_connection)
         report = build_report(*instantiate("affine2"))
         assert report["solitons"]
-        assert len(calls) == 1
+        assert len(built) == 1
+        assert received == built
 
 
 class TestCatalog:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import algebra_metric_pairs, sympy_conformal_basis, vectors
+from helpers import algebra_metric_pairs, lie_derivative_by_inner, sympy_conformal_basis, vectors
 from lieconf import (
     ConformalSolutionSpace,
     LieAlgebra,
@@ -52,6 +52,13 @@ class TestLieDerivative:
         ad = g.ad(x)
         expected = -(ad.transpose() @ m.gram + m.gram @ ad)
         assert lie_derivative_metric(g, m, x) == expected
+
+    @given(algebra_metric_pairs(), vectors(4))
+    @settings(max_examples=40)
+    def test_matches_entrywise_inner_formula(self, pair, xs):
+        g, m = pair
+        x = xs[: g.dim]
+        assert lie_derivative_metric(g, m, x) == lie_derivative_by_inner(g, m, x)
 
 
 class TestConformalSpace:

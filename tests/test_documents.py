@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import algebra_metric_pairs
+from lieconf.algebra import MAX_DIM
 from lieconf import DocumentError, Instance, instance_to_document, parse_instance, parse_instance_json
 from lieconf.documents import format_fraction, format_vector, parse_fraction
 
@@ -77,6 +78,19 @@ class TestParseInstance:
         with pytest.raises(DocumentError) as exc:
             parse_instance(doc)
         assert exc.value.path == "dim"
+
+    def test_dimension_bounded(self):
+        doc = {"dim": MAX_DIM + 1, "brackets": [], "metric": []}
+        with pytest.raises(DocumentError) as exc:
+            parse_instance(doc)
+        assert exc.value.path == "dim"
+        assert str(MAX_DIM) in str(exc.value)
+
+    def test_oversized_json_integer_located(self):
+        text = '{"dim": 1, "brackets": [], "metric": [[1' + "0" * 5000 + "]]}"
+        with pytest.raises(DocumentError) as exc:
+            parse_instance_json(text)
+        assert exc.value.path == "$"
 
     def test_bracket_index_bounds(self):
         doc = heisenberg_doc()

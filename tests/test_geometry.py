@@ -7,7 +7,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from helpers import algebra_metric_pairs, milnor_scalar, riemann_tensor, sympy_inertia
+from helpers import (
+    algebra_metric_pairs,
+    milnor_scalar,
+    orthogonal_complement,
+    riemann_tensor,
+    sympy_inertia,
+)
 from lieconf import (
     CausalCharacter,
     Degenerate,
@@ -58,17 +64,17 @@ class TestOrthogonalComplement:
     def test_null_line_is_its_own_complement(self):
         m = PseudoMetric.from_rows([[0, 1], [1, 0]])
         line = Subspace.span(2, [[0, 1]])
-        assert m.orthogonal_complement(line) == line
+        assert orthogonal_complement(m, line) == line
 
     def test_definite_complement(self):
         m = PseudoMetric.diagonal([1, 1, -1])
         plane = Subspace.span(3, [[1, 0, 0], [0, 1, 0]])
-        assert m.orthogonal_complement(plane) == Subspace.span(3, [[0, 0, 1]])
+        assert orthogonal_complement(m, plane) == Subspace.span(3, [[0, 0, 1]])
 
     def test_zero_and_full(self):
         m = PseudoMetric.diagonal([1, -1])
-        assert m.orthogonal_complement(Subspace.zero(2)) == Subspace.full(2)
-        assert m.orthogonal_complement(Subspace.full(2)) == Subspace.zero(2)
+        assert orthogonal_complement(m, Subspace.zero(2)) == Subspace.full(2)
+        assert orthogonal_complement(m, Subspace.full(2)) == Subspace.zero(2)
 
     @given(algebra_metric_pairs())
     @settings(max_examples=40)
@@ -76,9 +82,9 @@ class TestOrthogonalComplement:
         g, m = pair
         n = g.dim
         s = g.commutator_ideal()
-        comp = m.orthogonal_complement(s)
+        comp = orthogonal_complement(m, s)
         assert s.dim + comp.dim == n
-        assert m.orthogonal_complement(comp) == s
+        assert orthogonal_complement(m, comp) == s
 
 
 class TestRestriction:
@@ -106,7 +112,7 @@ class TestRestriction:
         s = g.commutator_ideal()
         if s.is_zero():
             return
-        comp = m.orthogonal_complement(s)
+        comp = orthogonal_complement(m, s)
         joined = Subspace.span(g.dim, list(s.basis) + list(comp.basis))
         radical_dim = s.dim + comp.dim - joined.dim
         assert m.restriction_degenerate(s) == (radical_dim > 0)
@@ -129,16 +135,16 @@ class TestLeviCivita:
     def test_affine_connection(self):
         g, m = instantiate("affine2")
         conn = levi_civita(g, m)
-        assert conn.nabla_basis(0, 0) == (Fraction(-1), Fraction(0))
-        assert conn.nabla_basis(0, 1) == (Fraction(0), Fraction(1))
-        assert conn.nabla_basis(1, 0) == (Fraction(0), Fraction(0))
-        assert conn.nabla_basis(1, 1) == (Fraction(0), Fraction(0))
+        assert conn.table[0][0] == (Fraction(-1), Fraction(0))
+        assert conn.table[0][1] == (Fraction(0), Fraction(1))
+        assert conn.table[1][0] == (Fraction(0), Fraction(0))
+        assert conn.table[1][1] == (Fraction(0), Fraction(0))
 
     def test_abelian_connection_vanishes(self):
         g, m = instantiate("abelian", {"n": 3, "p": 2})
         conn = levi_civita(g, m)
         assert all(
-            all(c == 0 for c in conn.nabla_basis(i, j))
+            all(c == 0 for c in conn.table[i][j])
             for i in range(3)
             for j in range(3)
         )
@@ -148,15 +154,15 @@ class TestLeviCivita:
         conn = levi_civita(g, m)
         e = {k: tuple(Fraction(1 if i == k else 0) for i in range(4)) for k in range(4)}
         half = Fraction(1, 2)
-        assert conn.nabla_basis(0, 0) == tuple(-half * c for c in e[2])
-        assert conn.nabla_basis(0, 1) == e[2]
-        assert conn.nabla_basis(0, 3) == tuple(-half * a + b for a, b in zip(e[0], e[1]))
-        assert conn.nabla_basis(1, 3) == tuple(-a - half * b for a, b in zip(e[0], e[1]))
-        assert all(all(c == 0 for c in conn.nabla_basis(2, j)) for j in range(4))
-        assert conn.nabla_basis(3, 0) == e[1]
-        assert conn.nabla_basis(3, 1) == tuple(-c for c in e[0])
-        assert conn.nabla_basis(3, 2) == e[2]
-        assert conn.nabla_basis(3, 3) == tuple(-c for c in e[3])
+        assert conn.table[0][0] == tuple(-half * c for c in e[2])
+        assert conn.table[0][1] == e[2]
+        assert conn.table[0][3] == tuple(-half * a + b for a, b in zip(e[0], e[1]))
+        assert conn.table[1][3] == tuple(-a - half * b for a, b in zip(e[0], e[1]))
+        assert all(all(c == 0 for c in conn.table[2][j]) for j in range(4))
+        assert conn.table[3][0] == e[1]
+        assert conn.table[3][1] == tuple(-c for c in e[0])
+        assert conn.table[3][2] == e[2]
+        assert conn.table[3][3] == tuple(-c for c in e[3])
 
     @given(algebra_metric_pairs())
     @settings(max_examples=40)
@@ -167,7 +173,7 @@ class TestLeviCivita:
             for j in range(g.dim):
                 lhs = [
                     a - b
-                    for a, b in zip(conn.nabla_basis(i, j), conn.nabla_basis(j, i))
+                    for a, b in zip(conn.table[i][j], conn.table[j][i])
                 ]
                 assert lhs == list(g.bracket_basis(i, j))
 
@@ -182,8 +188,8 @@ class TestLeviCivita:
         for i in range(g.dim):
             for j in range(g.dim):
                 for k in range(g.dim):
-                    total = m.inner(conn.nabla_basis(i, j), basis[k]) + m.inner(
-                        basis[j], conn.nabla_basis(i, k)
+                    total = m.inner(conn.table[i][j], basis[k]) + m.inner(
+                        basis[j], conn.table[i][k]
                     )
                     assert total == 0
 
