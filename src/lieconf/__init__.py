@@ -1,8 +1,9 @@
 """Exact classification of left-invariant conformal vector fields and
 Yamabe solitons on metric Lie algebras.
 
-The public surface re-exports the main types and operations; everything
-computes over `fractions.Fraction`, so results are exact and reproducible.
+The public surface re-exports the main types and operations. Every result
+is an exact `fractions.Fraction` value, computed inside on Python ints over
+common denominators, so results are exact and reproducible.
 """
 
 from .algebra import LieAlgebra

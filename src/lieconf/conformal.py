@@ -33,7 +33,7 @@ from .exact import (
     kernel,
     vector,
 )
-from .geometry import PseudoMetric, lowered_structure
+from .geometry import LoweredStructure, PseudoMetric, lowered_structure
 
 
 def lie_derivative_metric(
@@ -55,7 +55,7 @@ def lie_derivative_metric(
 
 
 def conformal_system(
-    g: LieAlgebra, m: PseudoMetric, low: tuple[tuple[Vector, ...], ...] | None = None
+    g: LieAlgebra, m: PseudoMetric, low: LoweredStructure | None = None
 ) -> Matrix:
     """The linear system whose kernel is the conformal solution space.
 
@@ -65,11 +65,11 @@ def conformal_system(
     """
     if low is None:
         low = lowered_structure(g, m)
-    n = g.dim
+    n, t, den = g.dim, low.ints, low.den
     rows = []
     for i in range(n):
         for j in range(i, n):
-            row = [-low[k][i][j] - low[k][j][i] for k in range(n)]
+            row = [Fraction(-t[k][i][j] - t[k][j][i], den) for k in range(n)]
             row.append(-2 * m.gram.at(i, j))
             rows.append(row)
     return Matrix.from_rows(rows)
@@ -101,7 +101,7 @@ class ConformalSolutionSpace:
 
 
 def conformal_space(
-    g: LieAlgebra, m: PseudoMetric, low: tuple[tuple[Vector, ...], ...] | None = None
+    g: LieAlgebra, m: PseudoMetric, low: LoweredStructure | None = None
 ) -> ConformalSolutionSpace:
     """Solve the conformal equation jointly in (x, rho)."""
     return ConformalSolutionSpace(g.dim, kernel(conformal_system(g, m, low)))

@@ -158,6 +158,8 @@ def parse_instance_json(text: str) -> Instance:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError("$", f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise DocumentError("$", "JSON nesting is too deep to decode") from None
     except ValueError:
         # the only other ValueError json.loads raises: int() refusing a long literal
         raise DocumentError(

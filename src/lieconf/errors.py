@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 
 class LieconfError(Exception):
     """Base class for all library-specific errors."""
@@ -23,17 +25,25 @@ class Degenerate(LieconfError):
     """A candidate metric tensor has zero determinant."""
 
 
+def _printable(c: object) -> str:
+    try:
+        return str(c)
+    except ValueError:  # a numerator or denominator past the int-to-string limit
+        return f"<more than {sys.get_int_max_str_digits()} digits>"
+
+
 class JacobiViolation(LieconfError):
     """A structure table fails the Jacobi identity.
 
     Carries the offending basis triple (0-based) and the residual vector
-    [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j].
+    [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]. The message prints
+    a coordinate past Python's int-to-string digit limit as a placeholder.
     """
 
     def __init__(self, i: int, j: int, k: int, residual: tuple) -> None:
         self.indices = (i, j, k)
         self.residual = residual
-        coords = ", ".join(str(c) for c in residual)
+        coords = ", ".join(_printable(c) for c in residual)
         super().__init__(
             f"Jacobi identity fails on basis triple {self.indices}: residual ({coords})"
         )

@@ -1,9 +1,18 @@
 """Exact rational linear algebra: matrices, canonical subspaces, inertia.
 
-Every scalar in this module is a `fractions.Fraction`; nothing here ever
-touches floating point. Outputs are canonical (reduced row echelon bases,
-deterministic pivoting), so equal inputs produce bit-identical results.
-The report layer depends on that.
+Matrices, vectors and every result hold `fractions.Fraction` scalars;
+nothing here ever touches floating point. Inside, the heavy loops run on
+Python ints, which spares the gcd every Fraction operation pays: `rref`
+and `det` scale each row to a primitive integer row (`integer_row`) and
+eliminate without fractions, `rref` dividing by its pivots only when it
+builds the result, and a matrix product clears each factor to one
+denominator (`Matrix.cleared`) and multiplies ints. The algebra and
+geometry layers use the same clearing (`common_denominator`,
+`Matrix.cleared`) to contract tensors on ints.
+Congruence diagonalization (`signature`) still runs on Fractions.
+Outputs are canonical (reduced row echelon bases, deterministic
+pivoting), so equal inputs produce bit-identical results. The report
+layer depends on that.
 """
 
 from __future__ import annotations
@@ -11,7 +20,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, NotSymmetric, SingularMatrix
@@ -77,6 +87,38 @@ def is_zero_vector(x: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in x)
 
 
+# -- integer kernels: Fractions cleared to ints over one denominator -----------
+
+
+def common_denominator(values: Iterable[Fraction]) -> tuple[int, list[int]]:
+    """(d, ints) with d the lcm of the denominators and values[i] == ints[i] / d."""
+    values = list(values)
+    d = lcm(*(x.denominator for x in values))
+    return d, [x.numerator * (d // x.denominator) for x in values]
+
+
+def dot(x: Iterable[int], y: Iterable[int]) -> int:
+    """sum_i x[i] * y[i] over Python ints."""
+    return sum(map(mul, x, y))
+
+
+def quotient(x: int, den: int) -> Fraction:
+    """x / den as a Fraction (the shared ZERO when x is 0)."""
+    return Fraction(x, den) if x else ZERO
+
+
+def integer_row(row: Sequence[Fraction]) -> tuple[list[int], Fraction]:
+    """(ints, scale) with ints primitive (content 1) and row == scale * ints.
+
+    A zero row gives zeros and scale 1.
+    """
+    d, ints = common_denominator(row)
+    content = gcd(*ints)
+    if content > 1:
+        ints = [x // content for x in ints]
+    return ints, Fraction(content or 1, d)
+
+
 @dataclass(frozen=True)
 class Matrix:
     """An immutable rows x cols matrix of Fractions, stored row-major."""
@@ -131,6 +173,11 @@ class Matrix:
     def row_lists(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
+    def cleared(self) -> tuple[int, list[list[int]]]:
+        """(d, rows): self[i][j] == rows[i][j] / d, d the lcm of the denominators."""
+        d, flat = common_denominator(self.entries)
+        return d, [flat[i * self.cols : (i + 1) * self.cols] for i in range(self.rows)]
+
     def transpose(self) -> Matrix:
         return Matrix(
             self.cols,
@@ -154,13 +201,14 @@ class Matrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        cols = [other.column(j) for j in range(other.cols)]
-        out = []
-        for i in range(self.rows):
-            r = self.row(i)
-            for c in cols:
-                out.append(sum((a * b for a, b in zip(r, c)), start=ZERO))
-        return Matrix(self.rows, other.cols, tuple(out))
+        # one integer product over the product of the two common denominators
+        left_den, rows = self.cleared()
+        right_den, right = other.cleared()
+        den = left_den * right_den
+        cols = [[row[j] for row in right] for j in range(other.cols)]
+        return Matrix(
+            self.rows, other.cols, tuple(quotient(dot(r, c), den) for r in rows for c in cols)
+        )
 
     def scale(self, c: Fraction | int | str) -> Matrix:
         f = frac(c)
@@ -218,27 +266,39 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and its pivot columns (exact Gauss-Jordan).
 
     Pivoting is deterministic (first nonzero entry scanning down), so the
-    result is the canonical RREF of the row space.
+    result is the canonical RREF of the row space. The elimination is
+    fraction-free (Bareiss 1968; H. Cohen, A Course in Computational
+    Algebraic Number Theory, 2.2): rows are primitive integer rows, row i
+    becomes p * row_i - f * pivot_row and is divided by its content (one
+    gcd per updated row), and the pivot rows are divided by their pivots
+    only at the end. Every step keeps the row space, and the RREF of a row
+    space is unique, so the result equals Gauss-Jordan over Fractions.
     """
-    a = m.row_lists()
+    if not m.rows:
+        raise DimensionMismatch("cannot build a matrix from zero rows")
+    a = [integer_row(m.row(i))[0] for i in range(m.rows)]
     pivots: list[int] = []
     r = 0
     for c in range(m.cols):
         if r == m.rows:
             break
-        pivot_row = next((i for i in range(r, m.rows) if a[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, m.rows) if a[i][c]), None)
         if pivot_row is None:
             continue
         a[r], a[pivot_row] = a[pivot_row], a[r]
-        p = a[r][c]
-        a[r] = [x / p for x in a[r]]
+        top = a[r]
+        p = top[c]
         for i in range(m.rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            f = a[i][c]
+            if i != r and f:
+                row = [p * x - f * y for x, y in zip(a[i], top)]
+                content = gcd(*row)
+                a[i] = [x // content for x in row] if content > 1 else row
         pivots.append(c)
         r += 1
-    return Matrix.from_rows(a), tuple(pivots)
+    entries = [quotient(x, row[c]) for row, c in zip(a, pivots) for x in row]
+    entries += [ZERO] * ((m.rows - len(pivots)) * m.cols)
+    return Matrix(m.rows, m.cols, tuple(entries)), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -278,21 +338,21 @@ def inverse(m: Matrix) -> Matrix:
 def det(m: Matrix) -> Fraction:
     """Determinant via fraction-free Bareiss elimination.
 
-    Rows are first cleared of denominators (tracking the scale factor), so
-    the elimination itself runs over integers and every division is exact.
+    Rows are first made primitive integer rows (`integer_row`, tracking
+    the scale factors), so the elimination itself runs over integers and
+    every division is exact.
     """
     if not m.is_square():
         raise DimensionMismatch("determinant requires a square matrix")
     n = m.rows
     if n == 0:
         return ONE
-    scale = 1
+    scale = ONE
     a: list[list[int]] = []
     for i in range(n):
-        row = m.row(i)
-        mult = lcm(*(x.denominator for x in row))
-        scale *= mult
-        a.append([int(x * mult) for x in row])
+        ints, factor = integer_row(m.row(i))
+        scale *= factor
+        a.append(ints)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -307,7 +367,7 @@ def det(m: Matrix) -> Fraction:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
             a[i][k] = 0
         prev = a[k][k]
-    return Fraction(sign * a[n - 1][n - 1], scale)
+    return sign * a[n - 1][n - 1] * scale
 
 
 class Inertia(NamedTuple):

@@ -11,6 +11,13 @@ recovered algebraically from the Koszul formula
 
 the only surviving terms for left-invariant fields, and curvature follows
 from the convention recorded in CURVATURE_CONVENTION.
+
+The Gram matrix and its inverse stay Fraction matrices; the contractions
+run on Python ints, each tensor over one common denominator: the lowered
+structure constants over den = D_c * D_g (algebra and Gram denominators),
+the connection over S = 2 * den * D_inv (D_inv that of the inverse Gram),
+and Ricci over S^2 * D_c. Fractions are built only for the returned
+`Connection.table`, Ricci matrix and scalar.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import LieAlgebra
 from .errors import Degenerate, DimensionMismatch, NotSymmetric
@@ -29,11 +36,14 @@ from .exact import (
     Vector,
     ZERO,
     det,
+    dot,
     inverse,
+    quotient,
     signature,
     vector,
-    zero_vector,
 )
+
+IntTensor = tuple[tuple[tuple[int, ...], ...], ...]
 
 #: The sign convention used throughout. The two standard conventions differ
 #: by a global sign of the Riemann tensor; on the built-in calibration
@@ -143,47 +153,66 @@ class PseudoMetric:
 
 @dataclass(frozen=True)
 class Connection:
-    """The Levi-Civita table nabla_{e_i} e_j on a metric Lie algebra."""
+    """The Levi-Civita table nabla_{e_i} e_j on a metric Lie algebra.
+
+    `table[i][j]` = nabla_{e_i} e_j in Fractions; the same table cleared to
+    one denominator is table[i][j][k] == ints[i][j][k] / den.
+    """
 
     dim: int
     table: tuple[tuple[Vector, ...], ...]  # table[i][j] = nabla_{e_i} e_j
+    den: int
+    ints: IntTensor
 
 
-def lowered_structure(g: LieAlgebra, m: PseudoMetric) -> tuple[tuple[Vector, ...], ...]:
+class LoweredStructure(NamedTuple):
+    """The lowered structure constants <[e_i, e_j], e_k> = ints[i][j][k] / den."""
+
+    den: int
+    ints: IntTensor
+
+
+def lowered_structure(g: LieAlgebra, m: PseudoMetric) -> LoweredStructure:
     """The lowered structure constants low[i][j][k] = <[e_i, e_j], e_k>.
 
-    One Gram product per unordered basis pair; antisymmetry gives the rest.
+    Integer contractions of the algebra's tensor with the cleared Gram
+    matrix, one per unordered basis pair; antisymmetry gives the rest.
     """
     if g.dim != m.dim:
         raise DimensionMismatch("algebra and metric dimensions differ")
     n = g.dim
-    low = [[zero_vector(n)] * n for _ in range(n)]
-    for i in range(n):
+    gram_den, gram = m.gram.cleared()
+    zero = (0,) * n
+    low = [[zero] * n for _ in range(n)]
+    for i, plane in enumerate(g.ints):
         for j in range(i + 1, n):
-            low[i][j] = m.gram.apply(g.bracket_basis(i, j))
-            low[j][i] = tuple(-c for c in low[i][j])
-    return tuple(tuple(row) for row in low)
+            c = plane[j]
+            if any(c):
+                # the Gram matrix is symmetric, so its rows are its columns
+                low[i][j] = tuple(dot(c, column) for column in gram)
+                low[j][i] = tuple(-x for x in low[i][j])
+    return LoweredStructure(g.den * gram_den, tuple(tuple(row) for row in low))
 
 
-def levi_civita(
-    g: LieAlgebra, m: PseudoMetric, low: tuple[tuple[Vector, ...], ...] | None = None
-) -> Connection:
+def levi_civita(g: LieAlgebra, m: PseudoMetric, low: LoweredStructure | None = None) -> Connection:
     """The unique torsion-free metric connection, from the Koszul formula,
     read from `low = lowered_structure(g, m)` (computed when not given)."""
     if low is None:
         low = lowered_structure(g, m)
-    n = g.dim
-    ginv = m.inverse_gram
-    half = Fraction(1, 2)
-    table = []
+    n, t = g.dim, low.ints
+    inv_den, ginv = m.inverse_gram.cleared()
+    den = 2 * low.den * inv_den
+    zero = (0,) * n
+    ints = []
     for i in range(n):
         row = []
         for j in range(n):
-            # covector c_k = <nabla_{e_i} e_j, e_k>
-            covector = [half * (low[i][j][k] - low[j][k][i] + low[k][i][j]) for k in range(n)]
-            row.append(ginv.apply(covector))
-        table.append(tuple(row))
-    return Connection(n, tuple(table))
+            # 2 * low.den * <nabla_{e_i} e_j, e_k>, raised by the inverse Gram rows
+            covector = [t[i][j][k] - t[j][k][i] + t[k][i][j] for k in range(n)]
+            row.append(tuple(dot(r, covector) for r in ginv) if any(covector) else zero)
+        ints.append(tuple(row))
+    table = tuple(tuple(tuple(quotient(x, den) for x in v) for v in row) for row in ints)
+    return Connection(n, table, den, tuple(ints))
 
 
 @dataclass(frozen=True)
@@ -205,26 +234,28 @@ def curvature(g: LieAlgebra, m: PseudoMetric, conn: Connection | None = None) ->
                     - sum_{i,a} [e_i, e_y]_a G[a][z]_i,
 
     read straight from the Koszul table without building R(e_i, e_j)e_k.
+    On the integer tables G[a][b]_k = T[a][b][k] / S and
+    [e_i, e_y]_a = C[i][y][a] / D_c (tau summed from T), that is
+
+        ric(y, z) = (D_c * (sum_t T[y][z][t] tau_t - sum_{i,t} T[i][z][t] T[y][t][i])
+                     - S * sum_{i,a} C[i][y][a] T[a][z][i]) / (S^2 * D_c).
     """
-    table = (levi_civita(g, m) if conn is None else conn).table
-    n = g.dim
-    tau = [sum((table[i][t][i] for i in range(n)), start=ZERO) for t in range(n)]
-    ricci_rows = []
+    conn = levi_civita(g, m) if conn is None else conn
+    n, t, s, c = g.dim, conn.ints, conn.den, g.ints
+    tau = [sum(t[i][k][i] for i in range(n)) for k in range(n)]
+    # across[y][i][k] = T[y][k][i] and down[z][i][a] = T[a][z][i]
+    across = [[tuple(t[y][k][i] for k in range(n)) for i in range(n)] for y in range(n)]
+    down = [[tuple(t[a][z][i] for a in range(n)) for i in range(n)] for z in range(n)]
+    rows = []
     for y in range(n):
-        brackets = [g.bracket_basis(i, y) for i in range(n)]
         row = []
         for z in range(n):
-            value = sum((a * b for a, b in zip(table[y][z], tau) if a), start=ZERO)
-            for i in range(n):
-                for t, a in enumerate(table[i][z]):
-                    if a:
-                        value -= a * table[y][t][i]
-                for a, c in enumerate(brackets[i]):
-                    if c:
-                        value -= c * table[a][z][i]
-            row.append(value)
-        ricci_rows.append(row)
-    ricci = Matrix.from_rows(ricci_rows)
-    ginv = m.inverse_gram
-    scalar = sum((ginv.at(i, j) * ricci.at(i, j) for i in range(n) for j in range(n)), start=ZERO)
-    return CurvatureReport(ricci, scalar, dict(CURVATURE_CONVENTION))
+            quadratic = dot(t[y][z], tau) - sum(dot(t[i][z], across[y][i]) for i in range(n))
+            bracket = sum(dot(c[i][y], down[z][i]) for i in range(n))
+            row.append(g.den * quadratic - s * bracket)
+        rows.append(row)
+    ricci_den = s * s * g.den
+    ricci = Matrix.from_rows([[quotient(x, ricci_den) for x in row] for row in rows])
+    inv_den, ginv = m.inverse_gram.cleared()
+    total = sum(dot(a, b) for a, b in zip(ginv, rows))
+    return CurvatureReport(ricci, Fraction(total, inv_den * ricci_den), dict(CURVATURE_CONVENTION))

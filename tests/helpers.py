@@ -44,13 +44,71 @@ def vectors(draw, dim: int):
 
 @st.composite
 def algebra_metric_pairs(draw, min_dim: int = 2, max_dim: int = 4):
-    """Random valid (LieAlgebra, PseudoMetric) pairs via the seeded samplers."""
+    """Random valid (LieAlgebra, PseudoMetric) pairs via the seeded samplers.
+
+    The sampled integer Gram matrix G is rescaled to D G D with D a drawn
+    diagonal of nonzero rationals, which keeps the signature but gives the
+    metric (and its inverse) non-integer entries.
+    """
     seed = draw(st.integers(0, 2**32 - 1))
     dim = draw(st.integers(min_dim, max_dim))
     rng = random.Random(seed)
     g = sampling.random_algebra(rng, dim)
     m = sampling.random_metric(rng, dim, rng.randint(0, dim))
-    return g, m
+    d = Matrix.diagonal(draw(st.lists(nonzero_rationals, min_size=dim, max_size=dim)))
+    return g, PseudoMetric(d @ m.gram @ d)
+
+
+@st.composite
+def bracket_tables(draw, min_dim: int = 2, max_dim: int = 5):
+    """(dim, table) bracket tables, many of them failing the Jacobi identity.
+
+    Either a valid sampled algebra's table with one coordinate perturbed
+    (or left as it is), or a table of a few random rational brackets.
+    """
+    dim = draw(st.integers(min_dim, max_dim))
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    if draw(st.booleans()):
+        g = sampling.random_algebra(random.Random(draw(st.integers(0, 2**32 - 1))), dim)
+        table = {key: list(g.bracket_basis(*key)) for key in pairs}
+        if draw(st.booleans()):
+            key = draw(st.sampled_from(pairs))
+            table[key][draw(st.integers(0, dim - 1))] += draw(nonzero_rationals)
+        return dim, table
+    keys = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3, unique=True))
+    return dim, {key: draw(st.lists(rationals, min_size=dim, max_size=dim)) for key in keys}
+
+
+def fraction_jacobi(dim: int, table) -> tuple[tuple[int, int, int], tuple[Fraction, ...]] | None:
+    """The first basis triple i < j < k with a nonzero Jacobi residual, and
+    that residual, computed in Fractions through the bilinear bracket; None
+    when the identity holds. The oracle for `LieAlgebra`'s integer check.
+    """
+
+    def bracket(x, y):
+        out = [Fraction(0)] * dim
+        for (i, j), c in table.items():
+            coeff = x[i] * y[j] - x[j] * y[i]
+            if coeff != 0:
+                for k in range(dim):
+                    out[k] += coeff * Fraction(c[k])
+        return out
+
+    def add(*vs):
+        return tuple(sum(cs, Fraction(0)) for cs in zip(*vs))
+
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for k in range(j + 1, dim):
+                ei, ej, ek = (basis_vector(dim, a) for a in (i, j, k))
+                residual = add(
+                    bracket(bracket(ei, ej), ek),
+                    bracket(bracket(ej, ek), ei),
+                    bracket(bracket(ek, ei), ej),
+                )
+                if any(residual):
+                    return (i, j, k), residual
+    return None
 
 
 # -- sympy oracles (independent arithmetic path) --------------------------------

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from helpers import algebra_metric_pairs, brackets_oracle, vectors
+from helpers import algebra_metric_pairs, bracket_tables, brackets_oracle, fraction_jacobi, vectors
 from lieconf import (
     DimensionMismatch,
     JacobiViolation,
@@ -34,6 +34,18 @@ class TestValidation:
             LieAlgebra(3, {(0, 1): (0, 0, 1), (0, 2): (1, 0, 0)})
         assert exc.value.indices == (0, 1, 2)
         assert exc.value.residual == (Fraction(0), Fraction(0), Fraction(-1))
+
+    @given(bracket_tables())
+    @settings(max_examples=150, deadline=None)
+    def test_jacobi_check_matches_fraction_oracle(self, case):
+        dim, table = case
+        expected = fraction_jacobi(dim, table)
+        if expected is None:
+            LieAlgebra(dim, table)
+            return
+        with pytest.raises(JacobiViolation) as exc:
+            LieAlgebra(dim, table)
+        assert (exc.value.indices, exc.value.residual) == expected
 
     def test_bad_key_order_rejected(self):
         with pytest.raises(DimensionMismatch):

@@ -133,6 +133,27 @@ class TestAnalyze:
         assert out == ""
         assert err == "error: $: an integer literal has more than 4300 digits\n"
 
+    def test_deeply_nested_json_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        code, out, err = run(capsys, "analyze", "--input", str(path))
+        assert (code, out, err) == (1, "", "error: $: JSON nesting is too deep to decode\n")
+
+    def test_jacobi_residual_too_long_to_print(self, capsys, tmp_path):
+        # the residual on (1, 2, 3) is (10^5000 - 10^2500) e2, past the 4300-digit limit
+        big = "1" + "0" * 2500
+        path = tmp_path / "bigresidual.json"
+        path.write_text(
+            '{"dim": 3, "brackets": ['
+            f'{{"i": 1, "j": 2, "coeffs": {{"1": {big}}}}}, '
+            f'{{"i": 1, "j": 3, "coeffs": {{"2": {big}}}}}, '
+            f'{{"i": 2, "j": 3, "coeffs": {{"1": {big}, "3": 1}}}}], '
+            '"metric": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}',
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "analyze", "--input", str(path))
+        assert (code, out, err) == (1, "", "error: brackets: Jacobi identity fails on basis triple (1, 2, 3)\n")
+
     @pytest.mark.parametrize("fmt", ["json", "table"])
     def test_output_rational_too_long_to_print(self, capsys, tmp_path, fmt):
         # the scalar curvature of this instance has about 6,000 digits

@@ -1,0 +1,62 @@
+"""Output guard: sha256 digests of full reports, recorded before the exact
+core moved from Fraction loops to integer contractions.
+
+Any drift in the JSON a report or a verify run prints fails here, without
+the benchmark. A change that means to alter output records new digests
+and says why.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
+
+from lieconf import build_report, verification_targets
+from lieconf.cli import main
+
+ANALYZE_DIGESTS = {
+    "abelian(n=2,p=1)": "a729c51d927e260676974ff920e7f5133b622bb48d1557a0d66a42f94a4f13b4",
+    "abelian(n=3,p=2)": "ce72a700db60bf7408ace38a7d8d89a56b9033bd9f4ab432a89e965d8f34b835",
+    "abelian(n=4,p=3)": "79cb33e62ec8ba2cce22adee1e79b46cee00ef1bd3db43fef016148c1014b23c",
+    "heisenberg3": "4583764a1400924f3ed155179b7a22a2466434092b85139713a40cffc6db5860",
+    "so3": "1b6a98fdff2671e3158e13b520d9d86138ce32146e3c68d77dccea093c5103ad",
+    "sl2": "5935d564cdc5b0ee6d9c060c6c2b5b1595368eb0ab9a7f2ef32e94d1cc328b68",
+    "affine2": "04720d12718cfa85067f1096ecc8f16dec64eb8fa06f7db7c3a35e6cc30f1a44",
+    "general3(alpha=1,beta=1,delta=1,gamma=1)": "97f2db4b3ef6f9448cc6c042c080b08ea210bfe7b78435f3500997944024fe6b",
+    "nonuni3(alpha=1,beta=0)": "77d205de75e5cd03d1f606df3497a3540bd5cf59c9010e7d4a6ecac90999df6a",
+    "nonuni3(alpha=1,beta=1)": "e0952a93eb9342b56eed60702a9c4462d4e5c5faa4f681617c4eba8e6f707ca9",
+    "damekricci4(alpha=0)": "536fe154183b50c813c4478e43bdaefa257bcd3f371783ffcaf3f9593b0ee063",
+    "damekricci4(alpha=1/2)": "2f5185a371a83236b06243bfc33e573a2edd1e1a66e23a54529913c2ef367bb1",
+    "damekricci4(alpha=1)": "a763eb137c61269b8cd695b680c3eecf4f4d167db588cdc46b9487011d75deb7",
+    "damekricci4(alpha=2)": "996ee35949d7a56fdcc6f08133b3e3630732e1b93e17a9e536fa42e9adee733d",
+    "diagonalN(lambda1=1,lambda2=1,lambda3=2,n=4)": "63150a0bda409598ac234140a86b9aa355a26446383eb5881f17956e4ee1dbd5",
+    "diagonalN(lambda1=1,lambda2=2,lambda3=3,n=4)": "8e3a8fd4ecab5093799630e871620034728f96c515a60ef4e5cdf5833fb9463d",
+    "gradedN(beta12=1,lambda1=3/2,lambda2=3/2,lambda3=3,n=4)": "1e2161e2297864a0fa25238bfc9ef763686953521cd552e808513f052ad76a31",
+    "gradedN(beta12=1,lambda1=1,lambda2=3,lambda3=4,n=4)": "ff3cdd93905ee649c1400f41affaa81646448bd667e0343e1750b5904d8d5f81",
+}
+
+# lieconf verify --scope all --seed 0 --samples 10 (JSON on stdout, exit 0)
+VERIFY_DIGEST = "08108d85e746bda180ac288188f47dfb45c826c577856e2e3f49b366c487e997"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize(("label", "g", "m"), [pytest.param(*t, id=t[0]) for t in verification_targets()])
+def test_analyze_report_unchanged(label, g, m):
+    # the bytes `lieconf analyze` prints for this instance
+    text = json.dumps(build_report(g, m, name=label), indent=2, ensure_ascii=False) + "\n"
+    assert _sha256(text) == ANALYZE_DIGESTS[label]
+
+
+def test_verify_output_unchanged():
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", "--scope", "all", "--seed", "0", "--samples", "10"])
+    assert (code, err.getvalue()) == (0, "")
+    assert _sha256(out.getvalue()) == VERIFY_DIGEST

@@ -16,6 +16,7 @@ from helpers import (
     sympy_inertia,
     sympy_nullspace,
     sympy_rank,
+    to_sympy,
 )
 from lieconf import (
     DimensionMismatch,
@@ -205,6 +206,26 @@ class TestRref:
     def test_idempotent_random(self, m):
         reduced, _ = rref(m)
         assert rref(reduced)[0] == reduced
+
+    @given(matrices(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_sympy(self, m, data):
+        # two extra rows at drawn positions: a rational combination of the
+        # rows (so the matrix is rank-deficient) and a zero row
+        coeffs = data.draw(st.lists(rationals, min_size=m.rows, max_size=m.rows))
+        rows = m.row_lists()
+        for extra in (
+            [sum((c * r[j] for c, r in zip(coeffs, m.row_lists())), Fraction(0)) for j in range(m.cols)],
+            [Fraction(0)] * m.cols,
+        ):
+            rows.insert(data.draw(st.integers(0, len(rows))), extra)
+        stacked = Matrix.from_rows(rows)
+        reduced, pivots = rref(stacked)
+        expected, expected_pivots = to_sympy(stacked).rref()
+        assert pivots == expected_pivots
+        assert reduced.row_lists() == [
+            [Fraction(int(x.p), int(x.q)) for x in expected.row(i)] for i in range(expected.rows)
+        ]
 
 
 class TestSubspace:

@@ -128,7 +128,8 @@ class TestLoweredStructure:
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    assert low[i][j][k] == m.inner(g.bracket_basis(i, j), basis_vector(n, k))
+                    expected = m.inner(g.bracket_basis(i, j), basis_vector(n, k))
+                    assert Fraction(low.ints[i][j][k], low.den) == expected
 
 
 class TestLeviCivita:
