@@ -40,7 +40,6 @@ from .exact import (
     Inertia,
     Matrix,
     Subspace,
-    congruence_diagonalize,
     det,
     frac,
     inverse,
@@ -104,7 +103,6 @@ __all__ = [
     "classify_constant",
     "conformal_space",
     "conformal_system",
-    "congruence_diagonalize",
     "curvature",
     "det",
     "family",

@@ -21,7 +21,7 @@ import sys
 from typing import Any, Sequence
 
 from . import catalog, sampling
-from .algebra import LieAlgebra
+from .algebra import MAX_SAMPLES, LieAlgebra
 from .conformal import VerdictStatus, conformal_space
 from .documents import Instance, instance_to_document, parse_instance_json
 from .errors import ConstraintViolated, DocumentError, LieconfError, UnknownFamily
@@ -118,6 +118,8 @@ def _verify_targets(args: argparse.Namespace) -> list[tuple[str, LieAlgebra, Pse
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.samples < 0:
         raise DocumentError("--samples", f"must be a non-negative integer, got {args.samples}")
+    if args.samples > MAX_SAMPLES:
+        raise DocumentError("--samples", f"must be at most {MAX_SAMPLES}, got {args.samples}")
     scopes = list(VERIFIERS) if args.scope == "all" else [args.scope]
     targets = _verify_targets(args)
     results = []

@@ -31,6 +31,7 @@ from .exact import (
     ZERO,
     frac,
     kernel,
+    quotient,
     vector,
 )
 from .geometry import LoweredStructure, PseudoMetric, lowered_structure
@@ -65,14 +66,13 @@ def conformal_system(
     """
     if low is None:
         low = lowered_structure(g, m)
-    n, t, den = g.dim, low.ints, low.den
-    rows = []
+    n, t, den, gram = g.dim, low.ints, low.den, m.gram.entries
+    entries: list[Fraction] = []
     for i in range(n):
         for j in range(i, n):
-            row = [Fraction(-t[k][i][j] - t[k][j][i], den) for k in range(n)]
-            row.append(-2 * m.gram.at(i, j))
-            rows.append(row)
-    return Matrix.from_rows(rows)
+            entries.extend(quotient(-t[k][i][j] - t[k][j][i], den) for k in range(n))
+            entries.append(-2 * gram[i * n + j])
+    return Matrix(n * (n + 1) // 2, n + 1, tuple(entries))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ class SingularMatrix(LieconfError):
 
 
 class NotSymmetric(LieconfError):
-    """A symmetric matrix was required (metric tensors, congruence input)."""
+    """A symmetric matrix was required (metric tensors, inertia input)."""
 
 
 class Degenerate(LieconfError):

@@ -3,13 +3,14 @@
 Matrices, vectors and every result hold `fractions.Fraction` scalars;
 nothing here ever touches floating point. Inside, the heavy loops run on
 Python ints, which spares the gcd every Fraction operation pays: `rref`
-and `det` scale each row to a primitive integer row (`integer_row`) and
-eliminate without fractions, `rref` dividing by its pivots only when it
-builds the result, and a matrix product clears each factor to one
-denominator (`Matrix.cleared`) and multiplies ints. The algebra and
-geometry layers use the same clearing (`common_denominator`,
-`Matrix.cleared`) to contract tensors on ints.
-Congruence diagonalization (`signature`) still runs on Fractions.
+scales each row to a primitive integer row (`integer_row`) and eliminates
+without fractions, dividing by its pivots only when it builds the result;
+`det` and `signature` clear the whole matrix once (`Matrix.cleared`) and
+eliminate on ints (`int_det`, symmetric Schur complements); a matrix
+product clears each factor to one denominator and multiplies ints. The
+algebra, geometry and sampling layers use the same clearing
+(`common_denominator`, `Matrix.cleared`, `int_det`) to contract tensors
+and draw instances on ints.
 Outputs are canonical (reduced row echelon bases, deterministic
 pivoting), so equal inputs produce bit-identical results. The report
 layer depends on that.
@@ -227,8 +228,9 @@ class Matrix:
         return self.rows == self.cols
 
     def is_symmetric(self) -> bool:
+        n, e = self.rows, self.entries
         return self.is_square() and all(
-            self.at(i, j) == self.at(j, i) for i in range(self.rows) for j in range(i + 1, self.cols)
+            e[i * n + j] == e[j * n + i] for i in range(n) for j in range(i + 1, n)
         )
 
     def is_zero(self) -> bool:
@@ -335,39 +337,37 @@ def inverse(m: Matrix) -> Matrix:
     return Matrix.from_rows([reduced.row(i)[n:] for i in range(n)])
 
 
-def det(m: Matrix) -> Fraction:
-    """Determinant via fraction-free Bareiss elimination.
-
-    Rows are first made primitive integer rows (`integer_row`, tracking
-    the scale factors), so the elimination itself runs over integers and
-    every division is exact.
-    """
-    if not m.is_square():
-        raise DimensionMismatch("determinant requires a square matrix")
-    n = m.rows
-    if n == 0:
-        return ONE
-    scale = ONE
-    a: list[list[int]] = []
-    for i in range(n):
-        ints, factor = integer_row(m.row(i))
-        scale *= factor
-        a.append(ints)
+def int_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free Bareiss
+    elimination: every division is exact, so it never leaves the ints."""
+    a = [list(row) for row in rows]
+    n = len(a)
     sign = 1
     prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
             swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
             if swap is None:
-                return ZERO
+                return 0
             a[k], a[swap] = a[swap], a[k]
             sign = -sign
+        top, p = a[k], a[k][k]
         for i in range(k + 1, n):
+            row, f = a[i], a[i][k]
             for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1] * scale
+                row[j] = (row[j] * p - f * top[j]) // prev
+            row[k] = 0
+        prev = p
+    return sign * a[n - 1][n - 1] if n else 1
+
+
+def det(m: Matrix) -> Fraction:
+    """Determinant: the matrix is cleared once to D * m = A over ints
+    (`Matrix.cleared`), and det m = int_det(A) / D^n."""
+    if not m.is_square():
+        raise DimensionMismatch("determinant requires a square matrix")
+    d, rows = m.cleared()
+    return Fraction(int_det(rows), d**m.rows)
 
 
 class Inertia(NamedTuple):
@@ -378,65 +378,50 @@ class Inertia(NamedTuple):
     zero: int
 
 
-def congruence_diagonalize(m: Matrix) -> tuple[Vector, Matrix]:
-    """Diagonalize a symmetric matrix by congruence.
+def signature(m: Matrix) -> Inertia:
+    """Sylvester inertia (p, q, z) of a symmetric matrix, computed exactly.
 
-    Returns (d, s) with s.T @ m @ s equal to diag(d). Uses symmetric
-    row/column elimination; a zero diagonal pivot is repaired either by a
-    symmetric swap with a later nonzero diagonal entry or, failing that, by
-    adding a row/column pair (which creates 2*m[i][j] != 0 on the diagonal,
-    valid in characteristic zero).
+    The matrix is cleared once to an integer matrix A (a positive multiple,
+    so the inertia is the same) and reduced by symmetric Schur complements:
+    with pivot p = A[0][0] and first row (p, v), A is congruent to
+    diag(p, A_rest - v v^T / p), and |p| A_rest - sign(p) v v^T is a
+    positive multiple of that complement, divided by its content (a
+    positive gcd) to keep the entries small. A zero pivot is repaired
+    either by a symmetric swap with a later nonzero diagonal entry or,
+    failing that, by adding a later row/column pair (which puts
+    2 A[0][j] != 0 on the diagonal, valid in characteristic zero); a zero
+    first row is one zero direction.
     """
     if not m.is_symmetric():
-        raise NotSymmetric("congruence diagonalization requires a symmetric matrix")
-    n = m.rows
-    a = m.row_lists()
-    p = Matrix.identity(n).row_lists()  # accumulates row operations: p @ m @ p.T stays equal to a
-
-    def swap(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        p[i], p[j] = p[j], p[i]
-
-    def add_row(i: int, j: int) -> None:
-        # row_i += row_j, col_i += col_j
-        a[i] = [x + y for x, y in zip(a[i], a[j])]
-        for row in a:
-            row[i] += row[j]
-        p[i] = [x + y for x, y in zip(p[i], p[j])]
-
-    def eliminate(i: int, j: int, f: Fraction) -> None:
-        # row_j -= f row_i, col_j -= f col_i
-        a[j] = [x - f * y for x, y in zip(a[j], a[i])]
-        for row in a:
-            row[j] -= f * row[i]
-        p[j] = [x - f * y for x, y in zip(p[j], p[i])]
-
-    for i in range(n):
-        if a[i][i] == 0:
-            diag_swap = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
-            if diag_swap is not None:
-                swap(i, diag_swap)
+        raise NotSymmetric("inertia requires a symmetric matrix")
+    a = m.cleared()[1]
+    positive = negative = zero = 0
+    while a:
+        if a[0][0] == 0:
+            j = next((j for j in range(1, len(a)) if a[j][j]), None)
+            if j is not None:
+                a[0], a[j] = a[j], a[0]
+                for row in a:
+                    row[0], row[j] = row[j], row[0]
             else:
-                off = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
-                if off is None:
-                    continue  # whole remaining row/column is zero
-                add_row(i, off)
-        for j in range(i + 1, n):
-            if a[j][i] != 0:
-                eliminate(i, j, a[j][i] / a[i][i])
-    d = tuple(a[i][i] for i in range(n))
-    s = Matrix.from_rows(p).transpose()
-    return d, s
-
-
-def signature(m: Matrix) -> Inertia:
-    """Sylvester inertia (p, q, z) of a symmetric matrix, computed exactly."""
-    d, _ = congruence_diagonalize(m)
-    pos = sum(1 for x in d if x > 0)
-    neg = sum(1 for x in d if x < 0)
-    return Inertia(pos, neg, len(d) - pos - neg)
+                j = next((j for j in range(1, len(a)) if a[0][j]), None)
+                if j is None:
+                    zero += 1
+                    a = [row[1:] for row in a[1:]]
+                    continue
+                a[0] = [x + y for x, y in zip(a[0], a[j])]
+                for row in a:
+                    row[0] += row[j]
+        p, v = a[0][0], a[0][1:]
+        if p > 0:
+            positive += 1
+            rest = [[p * x - vi * y for x, y in zip(row[1:], v)] for vi, row in zip(v, a[1:])]
+        else:
+            negative += 1
+            rest = [[vi * y - p * x for x, y in zip(row[1:], v)] for vi, row in zip(v, a[1:])]
+        content = gcd(*(x for row in rest for x in row))
+        a = [[x // content for x in row] for row in rest] if content > 1 else rest
+    return Inertia(positive, negative, zero)
 
 
 @dataclass(frozen=True)

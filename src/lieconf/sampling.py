@@ -7,6 +7,11 @@ integer matrix, which guarantees both non-degeneracy and the signature.
 Random algebras come from two Jacobi-safe constructions: a semidirect sum
 of a line acting on an abelian ideal by an arbitrary matrix, and random
 basis conjugations of catalog algebras.
+
+Matrices are drawn as integer rows, rejected on an integer determinant
+(`int_det`), and the Gram matrix s.T d s is summed on ints; Fraction
+matrices are built once, for the returned `Matrix`, `PseudoMetric` and
+`LieAlgebra.change_of_basis` (which conjugates on ints itself).
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from typing import Sequence
 
 from . import catalog
 from .algebra import LieAlgebra
-from .exact import Matrix, ZERO, det, vector
+from .exact import Matrix, dot, int_det
 from .geometry import PseudoMetric
 
 
@@ -26,27 +31,43 @@ def random_fraction(rng: random.Random, numerator: int = 9, denominator: int = 4
     return Fraction(rng.randint(-numerator, numerator), rng.randint(1, denominator))
 
 
+def _int_rows(rng: random.Random, n: int, bound: int) -> list[list[int]]:
+    return [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+
+
+def _int_matrix(rows: list[list[int]]) -> Matrix:
+    return Matrix(len(rows), len(rows), tuple(Fraction(x) for row in rows for x in row))
+
+
+def _invertible_rows(rng: random.Random, n: int, bound: int = 4) -> list[list[int]]:
+    """Random integer rows with nonzero determinant (rejection sampled)."""
+    while True:
+        rows = _int_rows(rng, n, bound)
+        if int_det(rows):
+            return rows
+
+
 def random_int_matrix(rng: random.Random, n: int, bound: int = 4) -> Matrix:
-    return Matrix.from_rows(
-        [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
-    )
+    return _int_matrix(_int_rows(rng, n, bound))
 
 
 def random_invertible(rng: random.Random, n: int, bound: int = 4) -> Matrix:
     """A random integer matrix with nonzero determinant (rejection sampled)."""
-    while True:
-        m = random_int_matrix(rng, n, bound)
-        if det(m) != 0:
-            return m
+    return _int_matrix(_invertible_rows(rng, n, bound))
 
 
 def random_metric(rng: random.Random, n: int, positive: int) -> PseudoMetric:
-    """A random exact metric of signature (positive, n - positive)."""
+    """A random exact metric of signature (positive, n - positive).
+
+    The Gram matrix s^T d s is summed on ints: sum_k d_k s_ki s_kj.
+    """
     if not 0 <= positive <= n:
         raise ValueError(f"signature ({positive}, {n - positive}) is not achievable in dimension {n}")
-    d = Matrix.diagonal([1] * positive + [-1] * (n - positive))
-    s = random_invertible(rng, n)
-    return PseudoMetric(s.transpose() @ d @ s)
+    d = [1] * positive + [-1] * (n - positive)
+    columns = list(zip(*_invertible_rows(rng, n)))
+    weighted = [[dk * x for dk, x in zip(d, column)] for column in columns]
+    gram = tuple(Fraction(dot(w, column)) for w in weighted for column in columns)
+    return PseudoMetric(Matrix(n, n, gram))
 
 
 def random_line_action_algebra(rng: random.Random, n: int) -> LieAlgebra:
@@ -57,13 +78,9 @@ def random_line_action_algebra(rng: random.Random, n: int) -> LieAlgebra:
     """
     if n < 2:
         return LieAlgebra(1, {})
-    a = random_int_matrix(rng, n - 1, bound=3)
-    table = {}
-    for i in range(n - 1):
-        coords = [-a.at(k, i) for k in range(n - 1)] + [ZERO]
-        coords = vector(coords)
-        table[(i, n - 1)] = coords  # [e_i, e_n] = -A e_i
-    return LieAlgebra(n, table)
+    a = _int_rows(rng, n - 1, 3)
+    # [e_i, e_n] = -A e_i
+    return LieAlgebra(n, {(i, n - 1): [-row[i] for row in a] + [0] for i in range(n - 1)})
 
 
 _CONJUGATION_POOL: tuple[tuple[str, dict], ...] = (

@@ -8,10 +8,10 @@ from fractions import Fraction
 import sympy
 from hypothesis import strategies as st
 
-from lieconf import Matrix, Subspace, kernel, lie_derivative_metric
-from lieconf.errors import DimensionMismatch
+from lieconf import Matrix, Subspace, inverse, kernel, lie_derivative_metric
+from lieconf.errors import DimensionMismatch, NotSymmetric
 from lieconf.algebra import LieAlgebra
-from lieconf.exact import basis_vector
+from lieconf.exact import Vector, basis_vector
 from lieconf.geometry import Connection, PseudoMetric
 from lieconf import sampling
 
@@ -309,6 +309,91 @@ def milnor_scalar(g: LieAlgebra, m: PseudoMetric) -> Fraction:
     mean = sum(ginv[i, j] * traces[i] * traces[j] for i in range(n) for j in range(n))
     value = sympy.Rational(-1, 4) * first - sympy.Rational(1, 2) * killing - mean
     return Fraction(int(value.p), int(value.q))
+
+
+# -- Fraction routes the library replaced by integer ones (oracles) -------------
+
+
+def congruence_diagonalize(m: Matrix) -> tuple[Vector, Matrix]:
+    """Diagonalize a symmetric matrix by congruence.
+
+    Returns (d, s) with s.T @ m @ s equal to diag(d). Uses symmetric
+    row/column elimination; a zero diagonal pivot is repaired either by a
+    symmetric swap with a later nonzero diagonal entry or, failing that, by
+    adding a row/column pair (which creates 2*m[i][j] != 0 on the diagonal,
+    valid in characteristic zero).
+    """
+    if not m.is_symmetric():
+        raise NotSymmetric("congruence diagonalization requires a symmetric matrix")
+    n = m.rows
+    a = m.row_lists()
+    p = Matrix.identity(n).row_lists()  # accumulates row operations: p @ m @ p.T stays equal to a
+
+    def swap(i: int, j: int) -> None:
+        a[i], a[j] = a[j], a[i]
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        p[i], p[j] = p[j], p[i]
+
+    def add_row(i: int, j: int) -> None:
+        # row_i += row_j, col_i += col_j
+        a[i] = [x + y for x, y in zip(a[i], a[j])]
+        for row in a:
+            row[i] += row[j]
+        p[i] = [x + y for x, y in zip(p[i], p[j])]
+
+    def eliminate(i: int, j: int, f: Fraction) -> None:
+        # row_j -= f row_i, col_j -= f col_i
+        a[j] = [x - f * y for x, y in zip(a[j], a[i])]
+        for row in a:
+            row[j] -= f * row[i]
+        p[j] = [x - f * y for x, y in zip(p[j], p[i])]
+
+    for i in range(n):
+        if a[i][i] == 0:
+            diag_swap = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
+            if diag_swap is not None:
+                swap(i, diag_swap)
+            else:
+                off = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
+                if off is None:
+                    continue  # whole remaining row/column is zero
+                add_row(i, off)
+        for j in range(i + 1, n):
+            if a[j][i] != 0:
+                eliminate(i, j, a[j][i] / a[i][i])
+    d = tuple(a[i][i] for i in range(n))
+    s = Matrix.from_rows(p).transpose()
+    return d, s
+
+
+def fraction_change_of_basis(g: LieAlgebra, s: Matrix) -> LieAlgebra:
+    """g in the basis f_j = sum_i s[i][j] e_i, as s^-1 [s e_i, s e_j] through
+    the generic Fraction bracket and `Matrix.apply`."""
+    s_inv = inverse(s)
+    columns = [s.column(j) for j in range(g.dim)]
+    table = {
+        (i, j): s_inv.apply(g.bracket(columns[i], columns[j]))
+        for i in range(g.dim)
+        for j in range(i + 1, g.dim)
+    }
+    return LieAlgebra(g.dim, table)
+
+
+def fraction_random_invertible(rng: random.Random, n: int, bound: int = 4) -> Matrix:
+    """`sampling.random_invertible` drawn into a Fraction Matrix and rejected
+    on a sympy determinant."""
+    while True:
+        m = Matrix.from_rows([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)])
+        if sympy_det(m) != 0:
+            return m
+
+
+def fraction_random_metric(rng: random.Random, n: int, positive: int) -> PseudoMetric:
+    """`sampling.random_metric` as the matrix product s^T diag(I_p, -I_q) s."""
+    d = Matrix.diagonal([1] * positive + [-1] * (n - positive))
+    s = fraction_random_invertible(rng, n)
+    return PseudoMetric(s.transpose() @ d @ s)
 
 
 # -- acceptance reporting --------------------------------------------------------

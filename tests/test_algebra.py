@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import algebra_metric_pairs, bracket_tables, brackets_oracle, fraction_jacobi, vectors
+from helpers import (
+    algebra_metric_pairs,
+    bracket_tables,
+    brackets_oracle,
+    congruence_diagonalize,
+    fraction_change_of_basis,
+    fraction_jacobi,
+    matrices,
+    vectors,
+)
 from lieconf import (
     DimensionMismatch,
     JacobiViolation,
@@ -15,8 +26,10 @@ from lieconf import (
     Matrix,
     SingularMatrix,
     Subspace,
+    det,
     instantiate,
     inverse,
+    sampling,
 )
 
 
@@ -119,6 +132,21 @@ class TestAd:
         # negatives of those coefficients.
         assert g.trace_ad((0, 0, 1)) == -3
 
+    @given(algebra_metric_pairs(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_columns_match_bracket(self, pair, data):
+        # column j of ad_x is [x, e_j] through the generic bilinear bracket
+        g, _ = pair
+        n = g.dim
+        x = data.draw(vectors(n))
+        ad = g.ad(x)
+        for j in range(n):
+            assert ad.column(j) == g.bracket(x, tuple(int(i == j) for i in range(n)))
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            _heisenberg().ad((1, 0))
+
 
 class TestInvariantSubspaces:
     def test_heisenberg_center_and_commutator(self):
@@ -167,6 +195,29 @@ class TestChangeOfBasis:
     def test_singular_matrix_rejected(self):
         with pytest.raises(SingularMatrix):
             _heisenberg().change_of_basis(Matrix.zeros(3, 3))
+
+    @staticmethod
+    def _assert_matches_oracle(g: LieAlgebra, s: Matrix) -> None:
+        h, oracle = g.change_of_basis(s), fraction_change_of_basis(g, s)
+        assert h.structure_table() == oracle.structure_table()
+        assert list(h.structure_table()) == list(oracle.structure_table())
+        assert (h.den, h.ints) == (oracle.den, oracle.ints)
+
+    @given(algebra_metric_pairs(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_fraction_oracle_for_integer_s(self, pair, seed):
+        g, _ = pair
+        self._assert_matches_oracle(g, sampling.random_invertible(random.Random(seed), g.dim))
+
+    @given(algebra_metric_pairs(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_fraction_oracle_for_rational_s(self, pair, data):
+        g, m = pair
+        # the s that diagonalizes the metric by congruence, and a drawn one
+        self._assert_matches_oracle(g, congruence_diagonalize(m.gram)[1])
+        s = data.draw(matrices(min_dim=g.dim, max_dim=g.dim, square=True))
+        if det(s) != 0:
+            self._assert_matches_oracle(g, s)
 
 
 class TestGradedFamilies:

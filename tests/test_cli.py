@@ -7,9 +7,9 @@ import json
 
 import pytest
 
-from lieconf import algebra, build_report, conformal, geometry, instantiate, verification_targets, yamabe
+from lieconf import algebra, build_report, conformal, geometry, instantiate, sampling, verification_targets, yamabe
 from lieconf import report as report_module
-from lieconf.algebra import MAX_DIM
+from lieconf.algebra import MAX_DIM, MAX_SAMPLES
 from lieconf.cli import main
 
 
@@ -253,6 +253,16 @@ class TestVerify:
         assert code == 1
         assert out == ""
         assert err.startswith("error: --samples: ")
+
+    def test_samples_above_limit_rejected_before_generating(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("instances generated for an out-of-range --samples")
+
+        monkeypatch.setattr(sampling, "random_instances", refuse)
+        monkeypatch.setattr(sampling, "random_metric", refuse)
+        code, out, err = run(capsys, "verify", "--samples", str(MAX_SAMPLES + 1))
+        assert (code, out) == (1, "")
+        assert err == f"error: --samples: must be at most {MAX_SAMPLES}, got {MAX_SAMPLES + 1}\n"
 
     def test_zero_samples_accepted(self, capsys):
         code, out, _ = run(capsys, "verify", "--samples", "0")

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import algebra_metric_pairs, lie_derivative_by_inner, sympy_conformal_basis, vectors
+from helpers import (
+    algebra_metric_pairs,
+    congruence_diagonalize,
+    lie_derivative_by_inner,
+    sympy_conformal_basis,
+    vectors,
+)
 from lieconf import (
     ConformalSolutionSpace,
     LieAlgebra,
@@ -17,7 +23,6 @@ from lieconf import (
     Subspace,
     VerdictStatus,
     conformal_space,
-    congruence_diagonalize,
     instantiate,
     inverse,
     is_conformal_solution,

@@ -1,9 +1,12 @@
-"""Output guard: sha256 digests of full reports, recorded before the exact
-core moved from Fraction loops to integer contractions.
+"""Output guard: sha256 digests of full reports, verify runs and generated
+instances. The report and the seed-0 verify digests were recorded before
+the exact core moved from Fraction loops to integer contractions; the
+verify-sweep, table and generator digests before instance generation
+moved to ints.
 
-Any drift in the JSON a report or a verify run prints fails here, without
-the benchmark. A change that means to alter output records new digests
-and says why.
+Any drift in the JSON a report or a verify run prints, or in the instances
+`sampling` draws for a seed, fails here, without the benchmark. A change
+that means to alter output records new digests and says why.
 """
 
 from __future__ import annotations
@@ -12,10 +15,11 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 
 import pytest
 
-from lieconf import build_report, verification_targets
+from lieconf import Instance, build_report, instance_to_document, sampling, verification_targets
 from lieconf.cli import main
 
 ANALYZE_DIGESTS = {
@@ -42,6 +46,23 @@ ANALYZE_DIGESTS = {
 # lieconf verify --scope all --seed 0 --samples 10 (JSON on stdout, exit 0)
 VERIFY_DIGEST = "08108d85e746bda180ac288188f47dfb45c826c577856e2e3f49b366c487e997"
 
+# lieconf verify --scope all --seed S --samples 30, the benchmark's verify-sweep calls
+SWEEP_DIGESTS = {
+    0: "65d1031a00dcb45dde234c7b4a08fdb13b2c7296da3d97f81329ec201ac7215f",
+    1: "9f04030dd9d9138f5ca96f1e3fe65d74aaf5d368a8edb543350f6d9a0ff6ec30",
+    2: "5e1fcf660f8a19f94c4dede38163a8ac3fb4909f89ca9eb19508afa3b0e224ac",
+    3: "cc9cd19594014b7679879e6d59245c671c83052b6113b6f0b6f9741fb757cb99",
+}
+
+# lieconf verify --scope all --seed 0 --samples 30 --format table
+TABLE_DIGEST = "b60d17a48ce189911c9ccdfe58d60ff294b5646ba4f9f18a69ba0af695d0a157"
+
+# the documents of sampling.random_instances(random.Random(s), 30), as one JSON list
+INSTANCE_DIGESTS = {
+    0: "173428fc47b24b265c2f4cb365ff2c47a7ac59ad68bf3d8c87e937ec30dc5ca3",
+    1: "8b2407f33227be28697b462985b6789e890ba2e5b9d4a4ca76cfb81b43302cf7",
+}
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -54,9 +75,34 @@ def test_analyze_report_unchanged(label, g, m):
     assert _sha256(text) == ANALYZE_DIGESTS[label]
 
 
-def test_verify_output_unchanged():
+def _run(argv: list[str]) -> str:
+    """stdout of a successful, silent `lieconf` call."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["verify", "--scope", "all", "--seed", "0", "--samples", "10"])
+        code = main(argv)
     assert (code, err.getvalue()) == (0, "")
-    assert _sha256(out.getvalue()) == VERIFY_DIGEST
+    return out.getvalue()
+
+
+def test_verify_output_unchanged():
+    assert _sha256(_run(["verify", "--scope", "all", "--seed", "0", "--samples", "10"])) == VERIFY_DIGEST
+
+
+@pytest.mark.parametrize("seed", sorted(SWEEP_DIGESTS))
+def test_verify_sweep_output_unchanged(seed):
+    argv = ["verify", "--scope", "all", "--seed", str(seed), "--samples", "30"]
+    assert _sha256(_run(argv)) == SWEEP_DIGESTS[seed]
+
+
+def test_verify_table_unchanged():
+    argv = ["verify", "--scope", "all", "--seed", "0", "--samples", "30", "--format", "table"]
+    assert _sha256(_run(argv)) == TABLE_DIGEST
+
+
+@pytest.mark.parametrize("seed", sorted(INSTANCE_DIGESTS))
+def test_random_instances_unchanged(seed):
+    docs = [
+        instance_to_document(Instance(g, m, name=label))
+        for label, g, m in sampling.random_instances(random.Random(seed), 30)
+    ]
+    assert _sha256(json.dumps(docs, indent=2, ensure_ascii=False) + "\n") == INSTANCE_DIGESTS[seed]

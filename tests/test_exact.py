@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    congruence_diagonalize,
     matrices,
     rationals,
     symmetric_matrices,
@@ -24,7 +25,6 @@ from lieconf import (
     NotSymmetric,
     SingularMatrix,
     Subspace,
-    congruence_diagonalize,
     det,
     frac,
     inverse,
@@ -174,6 +174,37 @@ class TestSignature:
 
     def test_degenerate_counted(self):
         assert signature(Matrix.from_rows([[1, 1], [1, 1]])) == (1, 0, 1)
+
+    @pytest.mark.parametrize(
+        ("rows", "inertia"),
+        [
+            # zero diagonal throughout: a row/column pair is added
+            ([[0, 1, 0], [1, 0, 0], [0, 0, 0]], (1, 1, 1)),
+            ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], (1, 2, 0)),
+            ([[0, 1, 0], [1, 0, 1], [0, 1, 0]], (1, 1, 1)),
+            # a zero first row and column is one zero direction
+            ([[0, 0, 0], [0, 0, 1], [0, 1, 0]], (1, 1, 1)),
+            ([[0, 0], [0, 0]], (0, 0, 2)),
+            # zero first pivot, a later nonzero diagonal entry to swap in
+            ([[0, 1], [1, -3]], (1, 1, 0)),
+            ([[0, 2, 0], [2, 0, 0], [0, 0, -3]], (1, 2, 0)),
+            # rational entries, cleared once
+            ([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(-1, 5)]], (1, 1, 0)),
+            ([[Fraction(-1, 6)]], (0, 1, 0)),
+        ],
+    )
+    def test_zero_pivots_and_fractions(self, rows, inertia):
+        m = Matrix.from_rows(rows)
+        assert signature(m) == inertia == sympy_inertia(m)
+
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(st.integers(-1, 1), min_size=n * n, max_size=n * n)))
+    @settings(max_examples=80, deadline=None)
+    def test_sparse_matches_charpoly_oracle(self, flat):
+        # entries in {-1, 0, 1} hit zero pivots and degenerate matrices often
+        n = int(len(flat) ** 0.5)
+        rows = [[flat[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
+        m = Matrix.from_rows(rows)
+        assert tuple(signature(m)) == sympy_inertia(m)
 
     @given(symmetric_matrices())
     @settings(max_examples=60)
